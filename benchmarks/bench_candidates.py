@@ -1,12 +1,12 @@
-"""Benchmark: analytic candidate generation vs enumerate-then-prune.
+"""Benchmark: analytic candidate generation vs the exhaustive oracle.
 
 Runs the fig8-style buffer sweep (one workload, the exhaustive-staging
 FLAT-opt space, every buffer size of Figure 8) three times: with the
-full-grid front end (``candidates=False`` — enumerate, batch-score,
-prune), with the generated front end (family planning plus
-branch-and-bound), and with the generated front end warm-started from
-each neighboring buffer size's winner.  Asserts the acceptance
-criteria of the candidate-generation PR:
+oracle (``candidates=False`` — enumerate, then score every candidate
+with the scalar model), with the generated front end (family planning
+plus branch-and-bound), and with the generated front end warm-started
+from each neighboring buffer size's winner.  Asserts the acceptance
+criteria of candidate generation:
 
 * identical winning dataflow and cycle count at every buffer size,
 * >= 5x fewer scalar/batch cost evaluations for the generated front
@@ -38,9 +38,8 @@ from repro.core.engine import (
 from repro.models.configs import model_config
 from repro.ops.attention import Scope
 
-FULL_GRID = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True,
-                          candidates=False)
-GENERATED = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True)
+FULL_GRID = EngineOptions(cache_size=8192, candidates=False)  # the oracle
+GENERATED = EngineOptions(cache_size=8192)
 
 # The paper's FLAT-opt DSE over the exhaustive staging product — the
 # widest per-search grid the sweep experiments use.

@@ -83,11 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress timing footers",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for DSE candidate evaluation (default: "
-             "serial; results are identical at any job count)",
-    )
-    parser.add_argument(
         "--json", action="store_true",
         help="emit the experiment's typed rows as JSON instead of a table",
     )
@@ -104,17 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
              "render it with 'repro-flat trace-summary PATH'",
     )
     parser.add_argument(
-        "--no-batch", action="store_true",
-        help="disable the vectorized batch scoring backend and use the "
-             "per-candidate scalar loop (results are identical; this "
-             "is an escape hatch and an equivalence-checking aid)",
-    )
-    parser.add_argument(
         "--no-candidates", action="store_true",
-        help="disable analytic candidate generation / branch-and-bound "
-             "and enumerate the full dataflow grid (results are "
-             "identical; this is an escape hatch and an "
-             "equivalence-checking aid)",
+        help="run the DSE's exhaustive scalar oracle instead of the "
+             "branch-and-bound fast path (results are identical; this "
+             "is an escape hatch and an equivalence-checking aid)",
     )
     parser.add_argument(
         "--warm-start", action="store_true",
@@ -276,14 +264,13 @@ def _run_pipeline_mode(args) -> int:
         if args.serve:
             host, port = _parse_host_port(args.serve)
             result = run_pipeline_via_server(
-                names=names, host=host, port=port, jobs=args.jobs,
+                names=names, host=host, port=port,
                 progress=None if args.quiet else _progress,
             )
         else:
             result = run_pipeline(
-                names=names, workers=args.workers, jobs=args.jobs,
+                names=names, workers=args.workers,
                 progress=None if args.quiet else _progress,
-                batch=False if args.no_batch else None,
                 candidates=False if args.no_candidates else None,
                 warm_start=True if args.warm_start else None,
                 scaleout_exhaustive=(
@@ -647,12 +634,7 @@ def _run_query(argv: List[str]) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     import repro.obs as obs
     from repro.core.cache import default_cache_dir
-    from repro.core.engine import (
-        default_batch,
-        default_candidates,
-        default_jobs,
-        default_warm_start,
-    )
+    from repro.core.engine import default_candidates, default_warm_start
 
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     if raw and raw[0] == "lint":
@@ -668,13 +650,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if raw and raw[0] == "query":
         return _run_query(raw[1:])
     args = build_parser().parse_args(raw)
-    batch = False if args.no_batch else None
     candidates = False if args.no_candidates else None
     warm_start = True if args.warm_start else None
     scaleout_exhaustive = True if args.exhaustive_scaleout else None
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     trace_path = (
         args.trace if args.trace is not None
         else (os.environ.get(obs.ENV_TRACE) or None)
@@ -692,7 +670,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             with obs.maybe_observed(trace_path), \
                     default_cache_dir(args.cache_dir), \
-                    default_jobs(args.jobs), default_batch(batch), \
                     default_candidates(candidates), \
                     default_warm_start(warm_start):
                 report = _run_cost(args) if args.experiment == "cost" else (
@@ -719,16 +696,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                     if args.json:
                         report = dumps(
                             run_experiment_raw(
-                                name, jobs=args.jobs, batch=batch,
-                                candidates=candidates,
+                                name, candidates=candidates,
                                 warm_start=warm_start,
                                 scaleout_exhaustive=scaleout_exhaustive,
                             )
                         )
                     else:
                         report = run_experiment(
-                            name, jobs=args.jobs, batch=batch,
-                            candidates=candidates, warm_start=warm_start,
+                            name, candidates=candidates,
+                            warm_start=warm_start,
                             scaleout_exhaustive=scaleout_exhaustive,
                         )
             except ValueError as exc:

@@ -7,9 +7,9 @@
 * :mod:`repro.core.perf` — the analytical performance model.
 * :mod:`repro.core.dse` — exhaustive design-space exploration.
 * :mod:`repro.core.engine` — the search engine behind the DSE
-  (parallel fan-out, bound-based pruning, lazy energy, memoization).
+  (a branch-and-bound fast path, an exhaustive oracle, memoization).
 * :mod:`repro.core.batch` — the vectorized batch backend scoring the
-  whole candidate grid as NumPy arrays, bit-for-bit equal to the
+  surviving candidates as NumPy arrays, bit-for-bit equal to the
   scalar model.
 * :mod:`repro.core.cache` — the persistent cross-run evaluation cache
   underneath the engine (``--cache-dir`` / ``REPRO_CACHE_DIR``).
@@ -82,8 +82,6 @@ from repro.core.engine import (
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
-    default_batch,
-    default_jobs,
     evaluate_cost,
     evaluation_cache_info,
     get_default_engine,
@@ -145,8 +143,6 @@ __all__ = [
     "accelerator_fingerprint",
     "clear_evaluation_cache",
     "cycles_lower_bound",
-    "default_batch",
-    "default_jobs",
     "evaluate_cost",
     "evaluation_cache_info",
     "get_default_engine",

@@ -41,8 +41,9 @@ missing tier — an on-disk cache shared across processes and runs:
 
 The default cache is configured with ``--cache-dir`` on the CLI or the
 ``REPRO_CACHE_DIR`` environment variable; :func:`get_default_cache`
-resolves that to a per-process singleton so the engine's serial loop
-and its ``ProcessPoolExecutor`` workers all read and write one store.
+resolves that to a per-process singleton, so every search in a
+process reads and writes one store (and the pipeline's worker
+processes share it through the directory).
 See ``docs/experiments_pipeline.md`` for layout and invalidation rules.
 """
 

@@ -263,10 +263,10 @@ def plan_candidates(
 
     Cost: one :func:`family_lower_bound` per family — a handful of
     closed-form evaluations, orders of magnitude below expanding and
-    screening the full grid.
+    screening the full grid.  ``FOOTPRINT`` has no cost bound: every
+    family gets the trivial bound ``0.0``, so no family is skipped on
+    its bound.
     """
-    if objective is Objective.FOOTPRINT:
-        raise ValueError("FOOTPRINT searches have no candidate bounds")
     families = tuple(enumerate_families(cfg, space))
     sizes = tuple(family_size(f, space) for f in families)
     offsets_list: List[int] = []
@@ -274,11 +274,14 @@ def plan_candidates(
     for size in sizes:
         offsets_list.append(total)
         total += size
-    bounds = tuple(
-        family_lower_bound(objective, cfg, scope, accel, f, space,
-                           options, energy_table)
-        for f in families
-    )
+    if objective is Objective.FOOTPRINT:
+        bounds = (0.0,) * len(families)
+    else:
+        bounds = tuple(
+            family_lower_bound(objective, cfg, scope, accel, f, space,
+                               options, energy_table)
+            for f in families
+        )
     order = tuple(
         sorted(range(len(families)), key=lambda i: (bounds[i], i))
     )

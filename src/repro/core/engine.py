@@ -1,51 +1,50 @@
-"""Search engine for the dataflow DSE: generated, pruned, memoized.
+"""Search engine for the dataflow DSE: one fast path, one oracle.
 
 :func:`repro.core.dse.search` delegates the actual work to
-:func:`run_search` here.  Seven cooperating optimizations turn the
-paper's exhaustive sweep (section 5.3.3) — repeated across five models,
-sequence lengths 512 to 256K, two platforms and several accelerator
-variants — from a serial full-evaluation loop into something that
-scales:
+:func:`run_search` here.  The paper's DSE is one exhaustive sweep
+(section 5.3.3), repeated across five models, sequence lengths 512 to
+256K, two platforms and several accelerator variants.  The engine runs
+that sweep in exactly two shapes, which provably return the same bytes:
 
-0. **Analytic candidate generation + branch-and-bound.**  The default
-   front end (:mod:`repro.core.candidates`) never materializes the full
-   grid: the space is planned as *families* (stationarity x granularity
-   x row count; see :class:`repro.core.dse.DataflowFamily`), each gets
-   an admissible lower bound from its cheapest representative member,
-   and families are scored best-bound-first — the best family's batch
-   scores seed the incumbent, then every family whose bound exceeds the
-   incumbent is skipped without ever expanding its members.  A
-   ``warm_start`` :class:`~repro.core.candidates.Incumbent` (the
-   neighboring sweep point's winner, re-evaluated under the current
-   config/accelerator — its value is never trusted) seeds the incumbent
-   before any family is scored, turning most sweep searches into
-   bound-confirmation passes.  The winner is provably identical to the
-   exhaustive path: bounds are admissible, skipping is strict
-   (``bound > incumbent``), and selection minimizes ``(value, global
-   enumeration index)`` — the exhaustive first-in-order tie-break.
+0. **Fast path: analytic candidate generation + branch-and-bound.**
+   The front end (:mod:`repro.core.candidates`) never materializes the
+   full grid: the space is planned as *families* (stationarity x
+   granularity x row count; see :class:`repro.core.dse.DataflowFamily`),
+   each gets an admissible lower bound from its cheapest representative
+   member, and families are scored best-bound-first — the best
+   family's batch scores seed the incumbent, then every family whose
+   bound exceeds the incumbent is skipped without ever expanding its
+   members.  A ``warm_start`` :class:`~repro.core.candidates.Incumbent`
+   (the neighboring sweep point's winner, re-evaluated under the
+   current config/accelerator — its value is never trusted) seeds the
+   incumbent before any family is scored, turning most sweep searches
+   into bound-confirmation passes.  The winner is provably identical to
+   the oracle's: bounds are admissible, skipping is strict (``bound >
+   incumbent``), and selection minimizes ``(value, global enumeration
+   index)`` — the exhaustive first-in-order tie-break.  ``FOOTPRINT``
+   has no cost bound: every family's bound is ``0.0``, so no family is
+   skipped on its bound.
 
-1. **Parallel fan-out.**  Candidate dataflows are evaluated in chunks
-   over a ``ProcessPoolExecutor`` (the ``jobs`` knob).  ``jobs=1``
-   preserves the exact serial semantics and enumeration order of the
-   original loop; the work units are picklable (frozen dataclasses all
-   the way down) and keyed by the dataflow spec.
+1. **Scoring inside the fast path.**  Surviving members are scored
+   through the vectorized batch backend (:mod:`repro.core.batch`),
+   bit-for-bit equal to the scalar model.  When a grid lies beyond the
+   backend's float64-exactness guard
+   (:class:`~repro.core.batch.BatchFallback`, e.g. an L-A pair of
+   ``2**50`` MACs or more), the same members are scored in place with
+   the scalar model inside the same branch-and-bound, and the fallback
+   is latched so later rounds skip the doomed grid call.
 
-2. **Bound-based pruning.**  Before paying for a full
-   :func:`~repro.core.perf.cost_scope`, each candidate is screened with
-   a cheap *admissible* lower bound on its cycles (and, for the energy
-   objectives, its energy): the max of the ideal-compute, cold-traffic
-   and operand-streaming phases, using the same closed forms as the
-   model but none of its tile search.  A candidate whose bound already
-   exceeds the incumbent optimum provably cannot win and is skipped.
-   Pruning is strict (``bound > incumbent``), so equal-valued optima
-   keep the seed path's first-in-enumeration-order tie-breaking, and it
-   is automatically disabled when the caller retains all points or
-   optimizes ``FOOTPRINT`` (which needs no cost bound).
+2. **Oracle: one exhaustive scalar loop.**  ``enumerate_dataflows`` ->
+   cached scalar :func:`~repro.core.perf.cost_scope` plus
+   ``energy_report`` for every candidate -> the first index attaining
+   the minimum.  No bounds, no batch backend.  It serves
+   ``retain_points=True`` callers (the Figure 10 scatter) and
+   ``candidates=False`` (``--no-candidates``), and it is what the
+   equivalence tests compare the fast path against.
 
-3. **Lazy energy.**  ``energy_report`` runs only when the objective
-   (``ENERGY``/``EDP``) or a ``retain_points=True`` caller (the Figure
-   10 scatter) actually needs it; a pure-runtime search computes energy
-   once, for the winner.
+3. **Lazy energy.**  The fast path runs ``energy_report`` only when
+   the objective (``ENERGY``/``EDP``) needs it, plus once for the
+   winner.
 
 4. **Cross-sweep memoization.**  Evaluations are cached in a
    process-wide LRU keyed on ``(AttentionConfig, accelerator
@@ -53,16 +52,17 @@ scales:
    and ``ext_*`` grids re-visit thousands of identical points across
    their sweeps; those hits skip the cost model entirely.  The cache
    stores only the deterministic :class:`~repro.core.perf.ScopeCost`;
-   energy is derived per caller (it depends on the energy table).
+   energy is derived per caller (it depends on the energy table).  A
+   fast-path search also memoizes its winner's index (``"cand-memo"``),
+   so a repeat search scores nothing.
 
 5. **Cross-run persistence.**  When a cache directory is configured
    (``--cache-dir`` / ``REPRO_CACHE_DIR``; see
    :mod:`repro.core.cache`), every LRU miss falls through to a
    persistent on-disk store keyed by the same evaluation fingerprint,
-   and every fresh evaluation — serial loop and pool workers alike —
-   is written back.  A re-run of any sweep, in any process, starts
-   warm; entries are invalidated wholesale when the cost-model source
-   fingerprint changes.
+   and every fresh evaluation is written back.  A re-run of any sweep,
+   in any process, starts warm; entries are invalidated wholesale when
+   the cost-model source fingerprint changes.
 
 Every search reports a :class:`SearchStats` (enumerated / pruned /
 cached / evaluated point counts plus wall time) on its
@@ -77,16 +77,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple
+from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
-from repro.core.cache import PersistentCache, get_default_cache, open_cache
+from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
-    CandidatePlan,
     Incumbent,
     family_representative,
     locate_candidate,
@@ -111,7 +109,7 @@ from repro.core.perf import (
     sg_stream_words,
 )
 from repro.core.tiling import ceil_div, choose_l2_tile, reuse_passes
-from repro.energy.model import ActivityCounts, EnergyReport, energy_report
+from repro.energy.model import ActivityCounts, energy_report
 from repro.energy.tables import EnergyTable
 from repro.obs.metrics import active as _metrics_active
 from repro.obs.trace import span as _span
@@ -131,8 +129,6 @@ __all__ = [
     "evaluate_cost",
     "get_default_engine",
     "set_default_engine",
-    "default_jobs",
-    "default_batch",
     "default_candidates",
     "default_warm_start",
     "reset_search_totals",
@@ -158,37 +154,16 @@ class EngineOptions:
 
     Parameters
     ----------
-    jobs:
-        Worker processes for candidate evaluation.  ``1`` (default)
-        runs in-process with the exact serial semantics of the original
-        search loop.
-    prune:
-        Enable bound-based pruning.  Only active when the caller does
-        not retain the full point set and the objective has a cost
-        bound (every objective except ``FOOTPRINT``).
     cache_size:
         Capacity (entries) of the process-wide evaluation cache;
         ``0`` disables memoization for this search.
-    chunk_size:
-        Candidates per parallel work unit; default splits the miss list
-        into about four chunks per worker.
-    batch:
-        Use the vectorized batch backend (:mod:`repro.core.batch`) as
-        the default scoring stage when the caller does not retain the
-        full point set.  The batch path scores the whole grid as NumPy
-        arrays — bit-for-bit equal to the scalar model — and only the
-        winner gets a full scalar ``ScopeCost`` breakdown.  ``False``
-        (the ``--no-batch`` escape hatch) restores the per-candidate
-        scalar loop with bound-based pruning.
     candidates:
-        Use analytic candidate generation with family-level
-        branch-and-bound (:mod:`repro.core.candidates`) as the default
-        front end.  Requires ``batch`` and ``prune`` (the generated
-        path scores families through the batch backend and its family
-        skipping *is* bound pruning); it is bypassed when the caller
-        retains points or optimizes ``FOOTPRINT``.  ``False`` (the
-        ``--no-candidates`` escape hatch) restores full enumeration
-        followed by batch scoring — same winner, more work.
+        Run the fast path — analytic candidate generation with
+        family-level branch-and-bound (:mod:`repro.core.candidates`),
+        scored by the batch backend — when the caller does not retain
+        the full point set.  ``False`` (the ``--no-candidates``
+        equivalence-checking aid) runs the exhaustive scalar oracle
+        instead — same winner, more work.
     warm_start:
         Policy knob for sweep drivers (``--warm-start`` plumbing): when
         true, sweep loops such as
@@ -200,21 +175,13 @@ class EngineOptions:
         one.
     """
 
-    jobs: int = 1
-    prune: bool = True
     cache_size: int = 8192
-    chunk_size: Optional[int] = None
-    batch: bool = True
     candidates: bool = True
     warm_start: bool = False
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -229,16 +196,19 @@ class SearchStats:
     by the vectorized backend; it sits outside the invariant — a
     batch-scored loser is accounted as ``pruned`` (it provably cannot
     win) and only the winner's scalar breakdown counts as ``evaluated``.
+    Candidates scored in place by the scalar model (past the batch
+    backend's exactness guard, or by the oracle) count as
+    ``evaluated``.
 
-    The candidate-generation path adds three counters.
-    ``candidates_generated`` is how many members the generator actually
-    materialized; ``candidates_skipped`` is how many it provably never
-    had to construct or score (members of bound-gated families — a
-    subset of ``pruned``, which also books batch-scored losers);
+    The fast path adds three counters.  ``candidates_generated`` is how
+    many members the generator actually materialized;
+    ``candidates_skipped`` is how many it provably never had to
+    construct or score (members of bound-gated families — a subset of
+    ``pruned``, which also books batch-scored losers);
     ``families_pruned`` counts whole families skipped by
-    branch-and-bound.  On the generated path ``candidates_generated +
+    branch-and-bound.  On the fast path ``candidates_generated +
     candidates_skipped == enumerated`` — the full space size — so the
-    invariant above holds unchanged.
+    invariant above holds unchanged.  The oracle leaves all three at 0.
     """
 
     enumerated: int
@@ -246,7 +216,6 @@ class SearchStats:
     pruned: int
     cache_hits: int
     wall_time_s: float
-    jobs: int
     disk_hits: int = 0
     batch_evaluations: int = 0
     candidates_generated: int = 0
@@ -289,75 +258,35 @@ def set_default_engine(engine: EngineOptions) -> EngineOptions:
 
 
 @contextmanager
-def default_jobs(jobs: Optional[int]) -> Iterator[None]:
-    """Temporarily set the default worker count (``--jobs`` plumbing).
-
-    ``None`` leaves the default untouched, so callers can pass an
-    optional CLI flag straight through.
-    """
-    if jobs is None:
+def _default_override(**changes: Optional[bool]) -> Iterator[None]:
+    """Temporarily replace default-engine fields; ``None`` values are
+    left untouched, so callers can pass optional CLI flags straight
+    through."""
+    changes = {k: v for k, v in changes.items() if v is not None}
+    if not changes:
         yield
         return
-    previous = set_default_engine(replace(_default_engine, jobs=jobs))
+    previous = set_default_engine(replace(_default_engine, **changes))
     try:
         yield
     finally:
         set_default_engine(previous)
 
 
-@contextmanager
-def default_batch(batch: Optional[bool]) -> Iterator[None]:
-    """Temporarily toggle the batch backend (``--no-batch`` plumbing).
+def default_candidates(candidates: Optional[bool]) -> ContextManager[None]:
+    """Temporarily pick the fast path or the oracle (``--no-candidates``).
 
-    ``None`` leaves the default untouched, so callers can pass an
-    optional CLI flag straight through.
+    ``None`` leaves the default untouched.
     """
-    if batch is None:
-        yield
-        return
-    previous = set_default_engine(replace(_default_engine, batch=batch))
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
+    return _default_override(candidates=candidates)
 
 
-@contextmanager
-def default_candidates(candidates: Optional[bool]) -> Iterator[None]:
-    """Temporarily toggle candidate generation (``--no-candidates``).
-
-    ``None`` leaves the default untouched, so callers can pass an
-    optional CLI flag straight through.
-    """
-    if candidates is None:
-        yield
-        return
-    previous = set_default_engine(
-        replace(_default_engine, candidates=candidates)
-    )
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
-
-
-@contextmanager
-def default_warm_start(warm_start: Optional[bool]) -> Iterator[None]:
+def default_warm_start(warm_start: Optional[bool]) -> ContextManager[None]:
     """Temporarily toggle sweep warm-starting (``--warm-start``).
 
-    ``None`` leaves the default untouched, so callers can pass an
-    optional CLI flag straight through.
+    ``None`` leaves the default untouched.
     """
-    if warm_start is None:
-        yield
-        return
-    previous = set_default_engine(
-        replace(_default_engine, warm_start=warm_start)
-    )
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
+    return _default_override(warm_start=warm_start)
 
 
 # ----------------------------------------------------------------------
@@ -567,14 +496,84 @@ def accelerator_fingerprint(accel: Accelerator) -> tuple:
     )
 
 
-def _evaluation_key(
-    cfg: AttentionConfig,
-    accel_fp: tuple,
-    dataflow: Dataflow,
-    options: PerfOptions,
-    scope: Scope,
-) -> tuple:
-    return (cfg, accel_fp, dataflow, options, scope)
+_UNRESOLVED = object()
+
+
+class _CostStore:
+    """LRU -> disk -> scalar model, for one ``(cfg, scope, accel,
+    options)`` search identity.
+
+    ``get``/``put`` take any key (evaluations and winner memos share
+    both cache levels); ``get`` reports where a hit came from
+    (``"lru"``/``"disk"``) so callers can book their stats.  The
+    persistent cache is resolved on first use, so LRU hits never pay
+    for the lookup of the configured directory.
+    """
+
+    __slots__ = ("cfg", "scope", "accel", "options", "accel_fp",
+                 "_pcache", "use_cache")
+
+    def __init__(self, cfg: AttentionConfig, scope: Scope,
+                 accel: Accelerator, options: PerfOptions,
+                 use_cache: bool = True) -> None:
+        self.cfg = cfg
+        self.scope = scope
+        self.accel = accel
+        self.options = options
+        self.accel_fp = accelerator_fingerprint(accel)
+        self._pcache = _UNRESOLVED
+        self.use_cache = use_cache
+
+    @property
+    def pcache(self) -> Optional[PersistentCache]:
+        if self._pcache is _UNRESOLVED:
+            self._pcache = get_default_cache()
+        return self._pcache
+
+    def key(self, dataflow: Dataflow) -> tuple:
+        return (self.cfg, self.accel_fp, dataflow, self.options, self.scope)
+
+    def get(self, key: tuple) -> Tuple[Optional[object], str]:
+        value = _CACHE.get(key) if self.use_cache else None
+        if value is not None:
+            return value, "lru"
+        pcache = self.pcache
+        if pcache is not None:
+            value = pcache.get(key)
+            if value is not None:
+                if self.use_cache:
+                    _CACHE.put(key, value)
+                return value, "disk"
+        return None, "model"
+
+    def put(self, key: tuple, value: object) -> None:
+        if self.use_cache:
+            _CACHE.put(key, value)
+        pcache = self.pcache
+        if pcache is not None:
+            pcache.put(key, value)
+
+    def evaluate(self, dataflow: Dataflow) -> ScopeCost:
+        """Run the scalar model and write the result back."""
+        cost = cost_scope(self.cfg, self.scope, self.accel, dataflow,
+                          options=self.options)
+        self.put(self.key(dataflow), cost)
+        return cost
+
+    def resolve(self, dataflow: Dataflow) -> Tuple[ScopeCost, str]:
+        """The dataflow's cost and its source: ``"lru"``, ``"disk"``
+        or ``"model"``."""
+        cost, source = self.get(self.key(dataflow))
+        if cost is None:
+            cost = self.evaluate(dataflow)
+        return cost, source
+
+
+_SOURCE_METRIC = {
+    "lru": "engine.lru_hits",
+    "disk": "engine.disk_hits",
+    "model": "engine.evaluated",
+}
 
 
 def evaluate_cost(
@@ -592,25 +591,8 @@ def evaluate_cost(
     and only then runs the cost model — storing the result in both.
     Semantically identical to calling ``cost_scope`` directly.
     """
-    key = _evaluation_key(
-        cfg, accelerator_fingerprint(accel), dataflow, options, scope
-    )
-    cost = _CACHE.get(key)
-    if cost is not None:
-        _metric_inc("engine.lru_hits")
-        return cost
-    pcache = get_default_cache()
-    if pcache is not None:
-        cost = pcache.get(key)
-        if cost is not None:
-            _metric_inc("engine.disk_hits")
-            _CACHE.put(key, cost)
-            return cost
-    cost = cost_scope(cfg, scope, accel, dataflow, options=options)
-    _metric_inc("engine.evaluated")
-    _CACHE.put(key, cost)
-    if pcache is not None:
-        pcache.put(key, cost)
+    cost, source = _CostStore(cfg, scope, accel, options).resolve(dataflow)
+    _metric_inc(_SOURCE_METRIC[source])
     return cost
 
 
@@ -959,267 +941,8 @@ def objective_lower_bound(
 
 
 # ----------------------------------------------------------------------
-# evaluation (serial and parallel paths)
+# the fast path and the oracle
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ChunkTask:
-    """Picklable work unit: evaluate a run of candidate dataflows."""
-
-    cfg: AttentionConfig
-    accel: Accelerator
-    scope: Scope
-    options: PerfOptions
-    objective: Objective
-    dataflows: Tuple[Dataflow, ...]
-    need_energy: bool
-    energy_table: Optional[EnergyTable]
-    prune: bool
-    bound: Optional[float]
-    cache_dir: Optional[str] = None
-
-
-def _evaluate_chunk(
-    task: _ChunkTask,
-) -> List[Optional[Tuple[ScopeCost, Optional[EnergyReport], bool]]]:
-    """Worker: evaluate each candidate, pruning against a local incumbent.
-
-    The incoming ``bound`` is the incumbent at dispatch time; within the
-    chunk the worker tightens it with its own results.  Pruning is
-    strict (``>``) so equal-valued optima survive to the deterministic
-    index-ordered selection in the parent.
-
-    When a persistent cache directory is configured the worker reads
-    and writes it directly: a hit skips the cost model (flagged so the
-    parent accounts it as a cache hit, not an evaluation) and every
-    fresh evaluation lands on disk even if the parent process dies.
-    """
-    pcache = open_cache(task.cache_dir) if task.cache_dir else None
-    accel_fp = accelerator_fingerprint(task.accel) if pcache else None
-    results: List[Optional[Tuple[ScopeCost, Optional[EnergyReport], bool]]] = []
-    bound = task.bound
-    for dataflow in task.dataflows:
-        if task.prune and bound is not None:
-            lower = objective_lower_bound(
-                task.objective, task.cfg, task.scope, task.accel, dataflow,
-                task.options, task.energy_table,
-            )
-            if lower is not None and lower > bound:
-                results.append(None)
-                continue
-        key = (
-            _evaluation_key(
-                task.cfg, accel_fp, dataflow, task.options, task.scope
-            )
-            if pcache else None
-        )
-        cost = pcache.get(key) if pcache else None
-        from_disk = cost is not None
-        if cost is None:
-            cost = cost_scope(
-                task.cfg, task.scope, task.accel, dataflow,
-                options=task.options,
-            )
-            if pcache:
-                pcache.put(key, cost)
-        energy = (
-            energy_report(cost.counts, task.energy_table)
-            if task.need_energy else None
-        )
-        results.append((cost, energy, from_disk))
-        value = task.objective.score(cost, energy)
-        if bound is None or value < bound:
-            bound = value
-    return results
-
-
-def _batch_search(
-    cfg: AttentionConfig,
-    accel: Accelerator,
-    scope: Scope,
-    objective: Objective,
-    options: PerfOptions,
-    energy_table: Optional[EnergyTable],
-    engine: EngineOptions,
-    dataflows: List[Dataflow],
-    accel_fp: tuple,
-    pcache: Optional[PersistentCache],
-    use_cache: bool,
-    start: float,
-) -> Optional[DSEResult]:
-    """Vectorized scoring stage: the whole grid in one array program.
-
-    Composes with both cache levels twice over:
-
-    - A **winner memo** keyed on the full search identity short-circuits
-      repeat searches (the warm-pipeline path): the remembered winner's
-      ``ScopeCost`` is fetched — or at worst recomputed once — and no
-      grid evaluation runs at all.
-    - On a memo miss, per-candidate cache entries are prescanned exactly
-      like the scalar path; only the *misses* go through
-      :func:`repro.core.batch.evaluate_grid`, and cached scalar scores
-      merge with the batch score array (safe because the two paths are
-      bit-for-bit equal).  ``np.argmin`` over the merged array is the
-      array-level replacement for the per-candidate prune-bound loop.
-
-    Returns ``None`` when the batch backend cannot represent the search
-    exactly (:class:`~repro.core.batch.BatchFallback`), sending the
-    caller down the scalar path.
-    """
-    try:
-        from repro.core.batch import BatchFallback, evaluate_grid
-    except ImportError:  # pragma: no cover - numpy is a declared dependency
-        return None
-
-    n = len(dataflows)
-    need_energy = objective in (Objective.ENERGY, Objective.EDP)
-    memo_key = (
-        "winner-memo", cfg, accel_fp, options, scope, objective,
-        energy_table, tuple(dataflows),
-    )
-
-    def _resolve_cost(index: int) -> Tuple[ScopeCost, str]:
-        """Winner breakdown via LRU -> disk -> scalar model.
-
-        Returns the cost and its source (``"lru"``/``"disk"``/
-        ``"model"``) so the caller can book the stats.
-        """
-        key = _evaluation_key(cfg, accel_fp, dataflows[index], options, scope)
-        cost = _CACHE.get(key) if use_cache else None
-        if cost is not None:
-            return cost, "lru"
-        if pcache is not None:
-            cost = pcache.get(key)
-            if cost is not None:
-                if use_cache:
-                    _CACHE.put(key, cost)
-                return cost, "disk"
-        cost = cost_scope(cfg, scope, accel, dataflows[index],
-                          options=options)
-        if use_cache:
-            _CACHE.put(key, cost)
-        if pcache is not None:
-            pcache.put(key, cost)
-        return cost, "model"
-
-    def _result(index: int, cost: ScopeCost, stats: SearchStats) -> DSEResult:
-        _accumulate(stats)
-        energy = energy_report(cost.counts, energy_table)
-        best = DesignPoint(dataflow=dataflows[index], cost=cost,
-                           energy=energy)
-        return DSEResult(best=best, points=(), objective=objective,
-                         stats=stats)
-
-    winner = _CACHE.get(memo_key) if use_cache else None
-    memo_from_disk = False
-    if winner is None and pcache is not None:
-        winner = pcache.get(memo_key)
-        if winner is not None:
-            memo_from_disk = True
-            if use_cache:
-                _CACHE.put(memo_key, winner)
-    if winner is not None:
-        # The whole grid was scored before; every non-winner is a
-        # cache hit against the memo (disk-served when the memo was).
-        index = int(winner)
-        cost, source = _resolve_cost(index)
-        evaluated = 1 if source == "model" else 0
-        stats = SearchStats(
-            enumerated=n,
-            evaluated=evaluated,
-            pruned=0,
-            cache_hits=n - evaluated,
-            wall_time_s=time.perf_counter() - start,
-            jobs=engine.jobs,
-            disk_hits=(
-                (n - 1 if memo_from_disk else 0)
-                + (1 if source == "disk" else 0)
-            ),
-            batch_evaluations=0,
-        )
-        return _result(index, cost, stats)
-
-    entries: List[Optional[ScopeCost]] = [None] * n
-    cache_hits = 0
-    disk_hits = 0
-    misses: List[int] = []
-    for i, dataflow in enumerate(dataflows):
-        key = _evaluation_key(cfg, accel_fp, dataflow, options, scope)
-        cost = _CACHE.get(key) if use_cache else None
-        if cost is None and pcache is not None:
-            cost = pcache.get(key)
-            if cost is not None:
-                disk_hits += 1
-                if use_cache:
-                    _CACHE.put(key, cost)
-        if cost is None:
-            misses.append(i)
-            continue
-        entries[i] = cost
-        cache_hits += 1
-
-    scores = [0.0] * n
-    for i, cost in enumerate(entries):
-        if cost is not None:
-            energy = (
-                energy_report(cost.counts, energy_table)
-                if need_energy else None
-            )
-            scores[i] = objective.score(cost, energy)
-    if misses:
-        try:
-            grid = evaluate_grid(
-                cfg, scope, accel, [dataflows[i] for i in misses],
-                options=options,
-            )
-        except BatchFallback:
-            return None
-        miss_scores = grid.objective_scores(objective, energy_table)
-        for j, i in enumerate(misses):
-            scores[i] = float(miss_scores[j])
-
-    best_index = 0
-    best_value = scores[0]
-    for i in range(1, n):
-        if scores[i] < best_value:
-            best_value = scores[i]
-            best_index = i
-
-    if use_cache:
-        _CACHE.put(memo_key, best_index)
-    if pcache is not None:
-        pcache.put(memo_key, best_index)
-
-    # Batch-scored losers are "pruned": the exact score proves they
-    # cannot win, and no scalar breakdown was ever built for them.
-    if entries[best_index] is not None:
-        cost = entries[best_index]
-        evaluated = 0
-        pruned = len(misses)
-    else:
-        cost, source = _resolve_cost(best_index)
-        pruned = len(misses) - 1
-        if source == "model":
-            evaluated = 1
-        else:
-            # Another process raced the entry onto disk after our
-            # prescan missed it; book it as the cache hit it became.
-            evaluated = 0
-            cache_hits += 1
-            if source == "disk":
-                disk_hits += 1
-    stats = SearchStats(
-        enumerated=n,
-        evaluated=evaluated,
-        pruned=pruned,
-        cache_hits=cache_hits,
-        wall_time_s=time.perf_counter() - start,
-        jobs=engine.jobs,
-        disk_hits=disk_hits,
-        batch_evaluations=len(misses),
-    )
-    return _result(best_index, cost, stats)
-
-
 def _locate_warm_start(
     warm: Optional[Incumbent],
     cfg: AttentionConfig,
@@ -1256,49 +979,38 @@ def _locate_warm_start(
 
 
 def _candidate_search(
-    cfg: AttentionConfig,
-    accel: Accelerator,
-    scope: Scope,
+    store: _CostStore,
     objective: Objective,
     space: SearchSpace,
-    options: PerfOptions,
     energy_table: Optional[EnergyTable],
-    engine: EngineOptions,
-    accel_fp: tuple,
-    pcache: Optional[PersistentCache],
-    use_cache: bool,
     start: float,
     warm: Optional[Incumbent],
-) -> Optional[DSEResult]:
-    """Generated front end: plan families, branch-and-bound, batch-score.
+) -> DSEResult:
+    """The fast path: plan families, branch-and-bound, batch-score.
 
     Never expands the whole space.  :func:`repro.core.candidates.plan_candidates`
     derives one admissible bound per family from its cheapest
     representative member.  Families are gated twice — first against
     the warm-start incumbent (when one is supplied), then against the
-    incumbent tightened by batch-scoring the live families'
+    incumbent tightened by scoring the live families'
     *representatives* — and only the final survivors are expanded and
     scored.  At most two :func:`~repro.core.batch.evaluate_grid`
     invocations run per search (representatives, then surviving
     members), so the fixed batch-call overhead cannot erase the
-    pruning win.
+    pruning win.  On :class:`~repro.core.batch.BatchFallback` the same
+    members are scored in place with the scalar model and the fallback
+    is latched for the rest of the search.
 
     Selection minimizes ``(value, global enumeration index)`` over
     every scored candidate.  A skipped candidate's true value strictly
     exceeds the final optimum (member value >= member bound >= family
     bound > incumbent >= optimum), so it can neither win nor displace a
-    tie — the result is identical to the exhaustive path, bytes
-    included.
-
-    Returns ``None`` on :class:`~repro.core.batch.BatchFallback`,
-    sending the caller down the enumerate-then-batch (then scalar)
-    path.
+    tie — the result is identical to the oracle's, bytes included.
     """
-    try:
-        from repro.core.batch import BatchFallback, evaluate_grid
-    except ImportError:  # pragma: no cover - numpy is a declared dependency
-        return None
+    from repro.core.batch import BatchFallback, evaluate_grid
 
+    cfg, scope, accel, options = (store.cfg, store.scope, store.accel,
+                                  store.options)
     plan = plan_candidates(objective, cfg, scope, accel, space,
                            options=options, energy_table=energy_table)
     n = plan.total
@@ -1312,34 +1024,11 @@ def _candidate_search(
         )
         return objective.score(cost, energy)
 
-    def _family_at(index: int) -> int:
-        for fi in range(len(plan.families) - 1, -1, -1):
-            if plan.offsets[fi] <= index:
-                return fi
-        raise IndexError(index)  # pragma: no cover - index always planned
-
     def _dataflow_at(index: int) -> Dataflow:
-        fi = _family_at(index)
+        fi = max(i for i, offset in enumerate(plan.offsets)
+                 if offset <= index)
         members = list(expand_family(cfg, plan.families[fi], space))
         return members[index - plan.offsets[fi]]
-
-    def _resolve_cost(dataflow: Dataflow) -> Tuple[ScopeCost, str]:
-        key = _evaluation_key(cfg, accel_fp, dataflow, options, scope)
-        cost = _CACHE.get(key) if use_cache else None
-        if cost is not None:
-            return cost, "lru"
-        if pcache is not None:
-            cost = pcache.get(key)
-            if cost is not None:
-                if use_cache:
-                    _CACHE.put(key, cost)
-                return cost, "disk"
-        cost = cost_scope(cfg, scope, accel, dataflow, options=options)
-        if use_cache:
-            _CACHE.put(key, cost)
-        if pcache is not None:
-            pcache.put(key, cost)
-        return cost, "model"
 
     def _result(index: int, cost: ScopeCost,
                 stats: SearchStats) -> DSEResult:
@@ -1355,20 +1044,13 @@ def _candidate_search(
     # avoids).  Valid because enumeration order is deterministic and
     # the dse/candidates sources are part of the disk-cache fingerprint.
     memo_key = (
-        "cand-memo", cfg, accel_fp, options, scope, objective,
+        "cand-memo", cfg, store.accel_fp, options, scope, objective,
         energy_table, space,
     )
-    winner = _CACHE.get(memo_key) if use_cache else None
-    memo_from_disk = False
-    if winner is None and pcache is not None:
-        winner = pcache.get(memo_key)
-        if winner is not None:
-            memo_from_disk = True
-            if use_cache:
-                _CACHE.put(memo_key, winner)
+    winner, memo_source = store.get(memo_key)
     if winner is not None and 0 <= int(winner) < n:
         index = int(winner)
-        cost, source = _resolve_cost(_dataflow_at(index))
+        cost, source = store.resolve(_dataflow_at(index))
         evaluated = 1 if source == "model" else 0
         stats = SearchStats(
             enumerated=n,
@@ -1376,12 +1058,10 @@ def _candidate_search(
             pruned=0,
             cache_hits=n - evaluated,
             wall_time_s=time.perf_counter() - start,
-            jobs=engine.jobs,
             disk_hits=(
-                (n - 1 if memo_from_disk else 0)
+                (n - 1 if memo_source == "disk" else 0)
                 + (1 if source == "disk" else 0)
             ),
-            batch_evaluations=0,
         )
         return _result(index, cost, stats)
 
@@ -1401,13 +1081,13 @@ def _candidate_search(
     # Warm seed: re-evaluate the neighboring winner under *this*
     # config/accelerator (its carried value, if any, is never trusted)
     # and let it gate families before anything is expanded.  Not booked
-    # in the stats: with caching on it resurfaces as a prescan hit of
+    # in the stats: with caching on it resurfaces as a cache hit of
     # its own family, which can never be family-pruned (the family's
     # bound is <= the seed's value).
     warm_index = _locate_warm_start(warm, cfg, scope, objective, space,
                                     options)
     if warm_index is not None:
-        cost, _ = _resolve_cost(_dataflow_at(warm_index))
+        cost, _ = store.resolve(_dataflow_at(warm_index))
         _consider(_score(cost), warm_index)
 
     generated = 0
@@ -1415,61 +1095,60 @@ def _candidate_search(
     families_pruned = 0
     cache_hits = 0
     disk_hits = 0
+    evaluated = 0
     batch_evaluations = 0
-    hit_costs: dict = {}
+    fallback = False
+    scalar_costs: Dict[int, ScopeCost] = {}
 
-    def _prescan(
-        members: List[Tuple[int, Dataflow]]
-    ) -> List[Tuple[int, Dataflow]]:
-        """Resolve members against the caches; return the misses."""
-        nonlocal cache_hits, disk_hits
+    def _score_members(members: List[Tuple[int, Dataflow]]) -> None:
+        """Score members: cache hits as they are, the misses in one
+        vectorized call — or, once the batch backend has refused this
+        search, one by one through the scalar model."""
+        nonlocal cache_hits, disk_hits, evaluated, batch_evaluations
+        nonlocal fallback
         misses: List[Tuple[int, Dataflow]] = []
         for index, df in members:
-            key = _evaluation_key(cfg, accel_fp, df, options, scope)
-            cost = _CACHE.get(key) if use_cache else None
-            if cost is None and pcache is not None:
-                cost = pcache.get(key)
-                if cost is not None:
-                    disk_hits += 1
-                    if use_cache:
-                        _CACHE.put(key, cost)
+            cost, source = store.get(store.key(df))
             if cost is None:
                 misses.append((index, df))
                 continue
             cache_hits += 1
-            hit_costs[index] = cost
+            if source == "disk":
+                disk_hits += 1
+            scalar_costs[index] = cost
             _consider(_score(cost), index)
-        return misses
+        if not misses:
+            return
+        if not fallback:
+            try:
+                grid = evaluate_grid(cfg, scope, accel,
+                                     [df for _, df in misses],
+                                     options=options)
+            except BatchFallback:
+                fallback = True
+            else:
+                scores = grid.objective_scores(objective, energy_table)
+                batch_evaluations += len(misses)
+                for (index, _), value in zip(misses, scores):
+                    _consider(float(value), index)
+                return
+        for index, df in misses:
+            cost = store.evaluate(df)
+            evaluated += 1
+            scalar_costs[index] = cost
+            _consider(_score(cost), index)
 
-    def _batch_score(members: List[Tuple[int, Dataflow]]) -> bool:
-        """Score members in one vectorized call; False on fallback."""
-        nonlocal batch_evaluations
-        if not members:
-            return True
-        try:
-            grid = evaluate_grid(
-                cfg, scope, accel, [df for _, df in members],
-                options=options,
-            )
-        except BatchFallback:
-            return False
-        scores = grid.objective_scores(objective, energy_table)
-        batch_evaluations += len(members)
-        for (index, _), value in zip(members, scores):
-            _consider(float(value), index)
-        return True
-
-    # Branch and bound in two rounds of gating and two vectorized
-    # calls.  Round one gates on the warm incumbent (when present);
-    # the *representatives* of the live families — each one is member 0
+    # Branch and bound in two rounds of gating and two scoring calls.
+    # Round one gates on the warm incumbent (when present); the
+    # *representatives* of the live families — each one is member 0
     # of its family's expansion, see ``family_representative`` — are
-    # then scored in a single batch call.  Representatives are the
-    # all-staged (and, where allowed, unfused) corners, which in
-    # practice include the optimum or something very near it, so the
-    # incumbent after this round is tight.  Round two re-gates every
-    # remaining family against it — those families are dropped without
-    # ever being expanded — and the survivors' remaining members are
-    # scored in one further batch call.
+    # then scored together.  Representatives are the all-staged (and,
+    # where allowed, unfused) corners, which in practice include the
+    # optimum or something very near it, so the incumbent after this
+    # round is tight.  Round two re-gates every remaining family
+    # against it — those families are dropped without ever being
+    # expanded — and the survivors' remaining members are scored in
+    # one further call.
     def _gated(fi: int) -> bool:
         # Strictly-beaten bound, or an exact tie the family cannot win:
         # every member value >= bound >= the incumbent's value, and
@@ -1514,16 +1193,8 @@ def _candidate_search(
         total_live = sum(plan.sizes[fi] for fi in alive)
         members: List[Tuple[int, Dataflow]] = []
         if best_value is not None and total_live <= _MERGE_BATCH_LIMIT:
-            alive.sort()
-            for fi in alive:
-                offset = plan.offsets[fi]
-                for j, df in enumerate(
-                    expand_family(cfg, plan.families[fi], space)
-                ):
-                    members.append((offset + j, df))
-            generated += len(members)
-            if not _batch_score(_prescan(members)):
-                return None
+            survivors = sorted(alive)
+            skip_first = False
         else:
             reps = [
                 (plan.offsets[fi],
@@ -1531,9 +1202,8 @@ def _candidate_search(
                 for fi in alive
             ]
             generated += len(reps)
-            if not _batch_score(_prescan(reps)):
-                return None
-            survivors: List[int] = []
+            _score_members(reps)
+            survivors = []
             for fi in alive:
                 if _gated(fi):
                     families_pruned += 1
@@ -1543,42 +1213,35 @@ def _candidate_search(
             # Expand in enumeration order for a deterministic grid
             # layout (selection is order-independent anyway).
             survivors.sort()
-            for fi in survivors:
-                offset = plan.offsets[fi]
-                for j, df in enumerate(
-                    expand_family(cfg, plan.families[fi], space)
-                ):
-                    if j == 0:
-                        continue  # the representative, scored above
+            skip_first = True  # the representatives, scored above
+        for fi in survivors:
+            offset = plan.offsets[fi]
+            for j, df in enumerate(
+                expand_family(cfg, plan.families[fi], space)
+            ):
+                if j or not skip_first:
                     members.append((offset + j, df))
-            generated += len(members)
-            if not _batch_score(_prescan(members)):
-                return None
+        generated += len(members)
+        _score_members(members)
         sp.set(families_pruned=families_pruned,
-               candidates_skipped=family_skipped)
+               candidates_skipped=family_skipped, fallback=fallback)
 
     assert best_index is not None  # first family always scores someone
-    if best_index in hit_costs:
-        cost = hit_costs[best_index]
-        evaluated = 0
+    if best_index in scalar_costs:
+        cost = scalar_costs[best_index]
         batch_losers = batch_evaluations
     else:
-        cost, source = _resolve_cost(_dataflow_at(best_index))
+        cost, source = store.resolve(_dataflow_at(best_index))
         batch_losers = batch_evaluations - 1
         if source == "model":
-            evaluated = 1
+            evaluated += 1
         else:
-            # Raced onto a cache after the prescan missed it; book it
+            # Raced onto a cache after the lookup missed it; book it
             # as the cache hit it became.
-            evaluated = 0
             cache_hits += 1
             if source == "disk":
                 disk_hits += 1
-
-    if use_cache:
-        _CACHE.put(memo_key, best_index)
-    if pcache is not None:
-        pcache.put(memo_key, best_index)
+    store.put(memo_key, best_index)
 
     stats = SearchStats(
         enumerated=n,
@@ -1586,7 +1249,6 @@ def _candidate_search(
         pruned=family_skipped + batch_losers,
         cache_hits=cache_hits,
         wall_time_s=time.perf_counter() - start,
-        jobs=engine.jobs,
         disk_hits=disk_hits,
         batch_evaluations=batch_evaluations,
         candidates_generated=generated,
@@ -1594,6 +1256,54 @@ def _candidate_search(
         families_pruned=families_pruned,
     )
     return _result(best_index, cost, stats)
+
+
+def _oracle_search(
+    store: _CostStore,
+    objective: Objective,
+    space: SearchSpace,
+    energy_table: Optional[EnergyTable],
+    start: float,
+    retain_points: bool,
+) -> DSEResult:
+    """The oracle: every dataflow through the scalar model, in order.
+
+    No bounds, no batch backend, no winner memo — only the evaluation
+    caches, which return the model's own results.  The winner is the
+    first design point attaining the minimum, the paper's exhaustive
+    sweep verbatim.
+    """
+    with _span("enumerate") as sp:
+        dataflows = list(enumerate_dataflows(store.cfg, store.accel, space))
+        sp.set(candidates=len(dataflows))
+    if not dataflows:
+        raise ValueError("search space is empty")
+    sources = {"lru": 0, "disk": 0, "model": 0}
+    points: List[DesignPoint] = []
+    with _span("evaluate", candidates=len(dataflows)) as sp:
+        for dataflow in dataflows:
+            cost, source = store.resolve(dataflow)
+            sources[source] += 1
+            points.append(DesignPoint(
+                dataflow=dataflow, cost=cost,
+                energy=energy_report(cost.counts, energy_table),
+            ))
+        sp.set(evaluated=sources["model"])
+    stats = SearchStats(
+        enumerated=len(points),
+        evaluated=sources["model"],
+        pruned=0,
+        cache_hits=sources["lru"] + sources["disk"],
+        wall_time_s=time.perf_counter() - start,
+        disk_hits=sources["disk"],
+    )
+    _accumulate(stats)
+    return DSEResult(
+        best=min(points, key=objective.key()),
+        points=tuple(points) if retain_points else (),
+        objective=objective,
+        stats=stats,
+    )
 
 
 def run_search(
@@ -1610,271 +1320,39 @@ def run_search(
 ) -> DSEResult:
     """Evaluate the search space and return the optimum plus stats.
 
-    With ``retain_points=True`` (the historical default) every design
-    point is evaluated, energy included, and returned — pruning is
-    disabled because the caller asked for the whole space.  With
-    ``retain_points=False`` only the optimum matters: candidates are
-    generated family-by-family with branch-and-bound (or, with
-    ``candidates=False``, enumerated then pruned against the
-    incumbent), energy is computed lazily, and ``DSEResult.points``
-    comes back empty.
+    With ``retain_points=True`` (the historical default) the oracle
+    evaluates every design point, energy included, and returns them
+    all.  With ``retain_points=False`` only the optimum matters: the
+    fast path generates candidates family-by-family with
+    branch-and-bound, computes energy lazily, and returns an empty
+    ``DSEResult.points`` (``candidates=False`` runs the oracle
+    instead).
 
     ``warm_start`` optionally carries a neighboring search's winner
-    (:class:`repro.core.candidates.Incumbent`); the candidate path
+    (:class:`repro.core.candidates.Incumbent`); the fast path
     re-evaluates that dataflow under the *current* config and
     accelerator and uses the resulting value as the initial incumbent.
     The incumbent's own recorded value is never reused — a stale seed
     can therefore never change the result, only the amount of work
     (see the warm-start contract in ``docs/search_engine.md``).
 
-    Regardless of ``jobs``/``prune``/``cache_size``/``candidates``/
-    ``warm_start``, the returned best design point (dataflow and
-    objective value) is identical to the naive serial full evaluation:
-    bounds are admissible, pruning is strict, and ties resolve to the
-    first candidate in enumeration order.
+    Regardless of ``cache_size``/``candidates``/``warm_start``, the
+    returned best design point (dataflow and objective value) is
+    identical to the oracle's: bounds are admissible, pruning is
+    strict, and ties resolve to the first candidate in enumeration
+    order.
     """
-    with _span("search", scope=scope.name, objective=objective.name):
-        return _run_search_impl(
-            cfg, accel, scope, objective, space, options, energy_table,
-            engine, retain_points, warm_start,
-        )
-
-
-def _run_search_impl(
-    cfg: AttentionConfig,
-    accel: Accelerator,
-    scope: Scope,
-    objective: Objective,
-    space: SearchSpace,
-    options: PerfOptions,
-    energy_table: Optional[EnergyTable],
-    engine: Optional[EngineOptions],
-    retain_points: bool,
-    warm_start: Optional[Incumbent] = None,
-) -> DSEResult:
     start = time.perf_counter()
     if engine is None:
         engine = get_default_engine()
-
     use_cache = engine.cache_size > 0
     if use_cache and _CACHE.maxsize != engine.cache_size:
         _CACHE.resize(engine.cache_size)
-    accel_fp = accelerator_fingerprint(accel)
-    pcache = get_default_cache()
-
-    # Generated front end: plans families instead of enumerating the
-    # grid.  Requires the batch backend (family scoring) and pruning
-    # semantics (family skipping is pruning), and is pointless when the
-    # caller wants every point or optimizes FOOTPRINT (no cost bound).
-    if (
-        engine.candidates
-        and engine.batch
-        and engine.prune
-        and not retain_points
-        and objective is not Objective.FOOTPRINT
-    ):
-        with _span("candidate-search") as sp:
-            result = _candidate_search(
-                cfg, accel, scope, objective, space, options, energy_table,
-                engine, accel_fp, pcache, use_cache, start, warm_start,
-            )
-            sp.set(fallback=result is None)
-        if result is not None:
-            return result
-        # BatchFallback: continue with full enumeration below.
-
-    with _span("enumerate") as sp:
-        dataflows = list(enumerate_dataflows(cfg, accel, space))
-        sp.set(candidates=len(dataflows))
-    if not dataflows:
-        raise ValueError("search space is empty")
-
-    need_energy = retain_points or objective in (
-        Objective.ENERGY, Objective.EDP
-    )
-    prune = (
-        engine.prune
-        and not retain_points
-        and objective is not Objective.FOOTPRINT
-    )
-
-    if engine.batch and not retain_points:
-        with _span("batch-score", candidates=len(dataflows)) as sp:
-            result = _batch_search(
-                cfg, accel, scope, objective, options, energy_table, engine,
-                dataflows, accel_fp, pcache, use_cache, start,
-            )
-            sp.set(fallback=result is None)
-        if result is not None:
-            return result
-        # BatchFallback: the grid is not exactly representable in
-        # float64 arrays — continue with the scalar machinery below.
-
-    n = len(dataflows)
-    entries: List[Optional[Tuple[ScopeCost, Optional[EnergyReport]]]] = (
-        [None] * n
-    )
-    cache_hits = 0
-    disk_hits = 0
-    misses: List[int] = []
-    with _span("prescan") as sp:
-        for i, dataflow in enumerate(dataflows):
-            key = _evaluation_key(cfg, accel_fp, dataflow, options, scope)
-            cost = _CACHE.get(key) if use_cache else None
-            if cost is None and pcache is not None:
-                cost = pcache.get(key)
-                if cost is not None:
-                    disk_hits += 1
-                    if use_cache:
-                        _CACHE.put(key, cost)
-            if cost is None:
-                misses.append(i)
-                continue
-            energy = (
-                energy_report(cost.counts, energy_table)
-                if need_energy else None
-            )
-            entries[i] = (cost, energy)
-            cache_hits += 1
-        sp.set(hits=cache_hits, disk_hits=disk_hits, misses=len(misses))
-
-    incumbent: Optional[float] = None
-    for entry in entries:
-        if entry is not None:
-            value = objective.score(entry[0], entry[1])
-            if incumbent is None or value < incumbent:
-                incumbent = value
-
-    pruned = 0
-    prescan_disk_hits = disk_hits
-
-    def _absorb(index: int, cost: ScopeCost, energy: Optional[EnergyReport],
-                write_disk: bool = True) -> None:
-        nonlocal incumbent
-        entries[index] = (cost, energy)
-        key = _evaluation_key(cfg, accel_fp, dataflows[index], options, scope)
-        if use_cache:
-            _CACHE.put(key, cost)
-        if pcache is not None and write_disk:
-            pcache.put(key, cost)
-        value = objective.score(cost, energy)
-        if incumbent is None or value < incumbent:
-            incumbent = value
-
-    if misses and engine.jobs == 1:
-        with _span("evaluate", misses=len(misses), jobs=1) as sp:
-            for i in misses:
-                dataflow = dataflows[i]
-                if prune and incumbent is not None:
-                    lower = objective_lower_bound(
-                        objective, cfg, scope, accel, dataflow, options,
-                        energy_table,
-                    )
-                    if lower is not None and lower > incumbent:
-                        pruned += 1
-                        continue
-                cost = cost_scope(
-                    cfg, scope, accel, dataflow, options=options
-                )
-                energy = (
-                    energy_report(cost.counts, energy_table)
-                    if need_energy else None
-                )
-                _absorb(i, cost, energy)
-            sp.set(pruned=pruned)
-    elif misses:
-        chunk = engine.chunk_size or max(
-            1, -(-len(misses) // (engine.jobs * 4))
-        )
-        chunks = [
-            misses[j:j + chunk] for j in range(0, len(misses), chunk)
-        ]
-        with _span("evaluate", misses=len(misses), jobs=engine.jobs) as sp, \
-                ProcessPoolExecutor(max_workers=engine.jobs) as pool:
-            position = 0
-            # Wave scheduling: up to ``jobs`` chunks in flight, each
-            # dispatched with the freshest incumbent so later waves
-            # prune harder.
-            while position < len(chunks):
-                wave = chunks[position:position + engine.jobs]
-                position += len(wave)
-                futures = [
-                    pool.submit(
-                        _evaluate_chunk,
-                        _ChunkTask(
-                            cfg=cfg,
-                            accel=accel,
-                            scope=scope,
-                            options=options,
-                            objective=objective,
-                            dataflows=tuple(
-                                dataflows[i] for i in indices
-                            ),
-                            need_energy=need_energy,
-                            energy_table=energy_table,
-                            prune=prune,
-                            bound=incumbent,
-                            cache_dir=(
-                                str(pcache.root) if pcache is not None
-                                else None
-                            ),
-                        ),
-                    )
-                    for indices in wave
-                ]
-                for indices, future in zip(wave, futures):
-                    for i, result in zip(indices, future.result()):
-                        if result is None:
-                            pruned += 1
-                            continue
-                        cost, energy, from_disk = result
-                        if from_disk:
-                            # The worker was scheduled a miss but found
-                            # the entry on disk (it was already stored,
-                            # or another process raced us to it).
-                            cache_hits += 1
-                            disk_hits += 1
-                        _absorb(i, cost, energy, write_disk=not from_disk)
-            sp.set(pruned=pruned)
-
-    # Deterministic selection: first index attaining the minimum, which
-    # is exactly ``min(points, key=...)`` over the full serial sweep.
-    best_index: Optional[int] = None
-    best_value: Optional[float] = None
-    for i, entry in enumerate(entries):
-        if entry is None:
-            continue
-        value = objective.score(entry[0], entry[1])
-        if best_value is None or value < best_value:
-            best_value = value
-            best_index = i
-    if best_index is None:  # unreachable: nothing prunes without an incumbent
-        raise RuntimeError("search pruned every candidate")
-
-    best_cost, best_energy = entries[best_index]
-    if best_energy is None:
-        best_energy = energy_report(best_cost.counts, energy_table)
-    best = DesignPoint(
-        dataflow=dataflows[best_index], cost=best_cost, energy=best_energy
-    )
-    points: Tuple[DesignPoint, ...] = ()
-    if retain_points:
-        points = tuple(
-            DesignPoint(dataflow=dataflows[i], cost=entry[0], energy=entry[1])
-            for i, entry in enumerate(entries)
-            if entry is not None
-        )
-    worker_disk_hits = disk_hits - prescan_disk_hits
-    stats = SearchStats(
-        enumerated=n,
-        evaluated=len(misses) - pruned - worker_disk_hits,
-        pruned=pruned,
-        cache_hits=cache_hits,
-        wall_time_s=time.perf_counter() - start,
-        jobs=engine.jobs,
-        disk_hits=disk_hits,
-    )
-    _accumulate(stats)
-    return DSEResult(
-        best=best, points=points, objective=objective, stats=stats
-    )
+    store = _CostStore(cfg, scope, accel, options, use_cache)
+    with _span("search", scope=scope.name, objective=objective.name):
+        if engine.candidates and not retain_points:
+            with _span("candidate-search"):
+                return _candidate_search(store, objective, space,
+                                         energy_table, start, warm_start)
+        return _oracle_search(store, objective, space, energy_table,
+                              start, retain_points)

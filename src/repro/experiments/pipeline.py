@@ -3,8 +3,8 @@
 The registry in :mod:`repro.experiments.runner` defines ~22 independent
 experiments; ``reproduce.sh`` and the CLI used to run them one after
 another in a single process.  This module schedules any subset of them
-across a ``ProcessPoolExecutor`` — experiments are the unit of
-parallelism (the DSE engine inside each stays serial by default), and
+across a pool of worker processes — experiments are the unit of
+parallelism (the DSE engine inside each is serial), and
 the persistent evaluation cache (:mod:`repro.core.cache`) is the shared
 substrate underneath: workers exploring overlapping grids reuse each
 other's evaluations through disk, and a second run of the whole suite
@@ -37,11 +37,7 @@ from repro.core.cache import (
     get_default_cache,
     resolve_cache_dir,
 )
-from repro.core.engine import (
-    default_batch,
-    scoped_search_totals,
-    search_totals,
-)
+from repro.core.engine import scoped_search_totals, search_totals
 from repro.experiments.runner import (
     experiment_names,
     run_experiment,
@@ -120,18 +116,16 @@ class PipelineResult:
         return totals
 
 
-def _execute(name: str, jobs: Optional[int],
+def _execute(name: str,
              cache_dir: Optional[str],
-             batch: Optional[bool] = None,
              trace: bool = False,
              candidates: Optional[bool] = None,
              warm_start: Optional[bool] = None,
              scaleout_exhaustive: Optional[bool] = None) -> ExperimentRun:
     """Run one experiment; importable at top level so pools can pickle it.
 
-    ``cache_dir``, the engine knobs (``batch``, ``candidates``,
-    ``warm_start``, ``scaleout_exhaustive``) and ``trace`` are
-    threaded explicitly (not
+    ``cache_dir``, the engine knobs (``candidates``, ``warm_start``,
+    ``scaleout_exhaustive``) and ``trace`` are threaded explicitly (not
     inherited) so the pipeline behaves identically under fork and spawn
     start methods.  The search-totals accumulator is scoped: measuring
     this experiment's DSE work leaves the caller's totals untouched.
@@ -146,13 +140,12 @@ def _execute(name: str, jobs: Optional[int],
         if not ship_obs and obs.session() is None:
             obs.enable()
             ship_obs = True
-    with default_cache_dir(cache_dir), default_batch(batch), \
-            scoped_search_totals():
+    with default_cache_dir(cache_dir), scoped_search_totals():
         pcache = get_default_cache()
         cache_before = pcache.stats.copy() if pcache is not None else None
         start = time.perf_counter()
         try:
-            report = run_experiment(name, jobs=jobs, candidates=candidates,
+            report = run_experiment(name, candidates=candidates,
                                     warm_start=warm_start,
                                     scaleout_exhaustive=scaleout_exhaustive)
             status = "ok"
@@ -188,10 +181,8 @@ def _execute(name: str, jobs: Optional[int],
 def run_pipeline(
     names: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
-    batch: Optional[bool] = None,
     candidates: Optional[bool] = None,
     warm_start: Optional[bool] = None,
     scaleout_exhaustive: Optional[bool] = None,
@@ -200,13 +191,11 @@ def run_pipeline(
 
     ``workers`` is the experiment-level process count (default: all
     cores, capped at the job count); ``workers=1`` runs the exact
-    serial loop in-process.  ``jobs`` is forwarded to the DSE engine
-    inside each experiment and defaults to serial — experiments are the
-    parallel unit.  ``cache_dir`` selects the shared persistent cache
-    (``None`` defers to the ambient default / ``REPRO_CACHE_DIR``).
-    ``batch`` toggles the vectorized scoring backend inside every
-    worker (``--no-batch`` passes ``False``), ``candidates`` the
-    generated branch-and-bound front end (``--no-candidates`` passes
+    serial loop in-process; experiments are the parallel unit.
+    ``cache_dir`` selects the shared persistent cache (``None`` defers
+    to the ambient default / ``REPRO_CACHE_DIR``).  ``candidates``
+    picks the DSE engine's branch-and-bound fast path or its
+    exhaustive oracle inside every worker (``--no-candidates`` passes
     ``False``), ``warm_start`` neighbor-seeded sweeps
     (``--warm-start`` passes ``True``) and ``scaleout_exhaustive`` the
     exhaustive outer scale-out reference (``--exhaustive-scaleout``
@@ -249,7 +238,7 @@ def run_pipeline(
     done = 0
     if workers == 1:
         for name in selected:
-            run = _execute(name, jobs, cache_dir, batch, trace,
+            run = _execute(name, cache_dir, trace,
                            candidates, warm_start, scaleout_exhaustive)
             outcomes[name] = run
             done += 1
@@ -263,7 +252,7 @@ def run_pipeline(
         lost: List[str] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pending = {
-                pool.submit(_execute, name, jobs, cache_dir, batch, trace,
+                pool.submit(_execute, name, cache_dir, trace,
                             candidates, warm_start,
                             scaleout_exhaustive): name
                 for name in selected
@@ -285,7 +274,7 @@ def run_pipeline(
                     if progress is not None:
                         progress(run, done, len(selected))
         for name in sorted(lost, key=selected.index):
-            run = _execute_isolated(name, jobs, cache_dir, batch, trace,
+            run = _execute_isolated(name, cache_dir, trace,
                                     candidates, warm_start,
                                     scaleout_exhaustive)
             _merge_obs(run)
@@ -305,7 +294,6 @@ def run_pipeline_via_server(
     names: Optional[Sequence[str]] = None,
     host: str = "127.0.0.1",
     port: int = 7321,
-    jobs: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     timeout: float = 3600.0,
 ) -> PipelineResult:
@@ -358,14 +346,10 @@ def run_pipeline_via_server(
             cache=dict(payload["cache"]),
         )
 
-    requests = []
-    for index, name in enumerate(selected):
-        req: Dict[str, object] = {
-            "op": "experiment", "name": name, "id": f"exp{index}",
-        }
-        if jobs is not None:
-            req["jobs"] = jobs
-        requests.append(req)
+    requests = [
+        {"op": "experiment", "name": name, "id": f"exp{index}"}
+        for index, name in enumerate(selected)
+    ]
     by_id = {req["id"]: req["name"] for req in requests}
 
     done = 0
@@ -392,9 +376,8 @@ def run_pipeline_via_server(
     )
 
 
-def _execute_isolated(name: str, jobs: Optional[int],
+def _execute_isolated(name: str,
                       cache_dir: Optional[str],
-                      batch: Optional[bool],
                       trace: bool,
                       candidates: Optional[bool] = None,
                       warm_start: Optional[bool] = None,
@@ -414,7 +397,7 @@ def _execute_isolated(name: str, jobs: Optional[int],
     try:
         with ProcessPoolExecutor(max_workers=1) as pool:
             return pool.submit(
-                _execute, name, jobs, cache_dir, batch, trace,
+                _execute, name, cache_dir, trace,
                 candidates, warm_start, scaleout_exhaustive,
             ).result()
     except BrokenProcessPool:

@@ -27,6 +27,7 @@ links never cross a pid boundary.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import threading
@@ -79,7 +80,7 @@ class Span:
 
     __slots__ = (
         "_collector", "name", "attrs", "_start", "_child_s",
-        "id", "parent", "_depth",
+        "id", "parent", "_depth", "_token",
     )
 
     def __init__(self, collector: "TraceCollector", name: str,
@@ -97,10 +98,10 @@ class Span:
         with collector._id_lock:
             self.id = collector._next_id
             collector._next_id += 1
-        stack = collector._stack
+        stack = collector._open.get()
         self.parent = stack[-1].id if stack else 0
         self._depth = len(stack)
-        stack.append(self)
+        self._token = collector._open.set(stack + (self,))
         self._child_s = 0.0
         self._start = time.perf_counter()
         return self
@@ -108,8 +109,8 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = time.perf_counter()
         collector = self._collector
-        stack = collector._stack
-        stack.pop()
+        collector._open.reset(self._token)
+        stack = collector._open.get()
         dur = end - self._start
         if stack:
             stack[-1]._child_s += dur
@@ -135,31 +136,30 @@ class Span:
 class TraceCollector:
     """Process-local span store: a stack for nesting, a list of events.
 
-    Thread-aware: span *nesting* is tracked on a per-thread stack, so
-    the serving layer (:mod:`repro.serve`) can open spans from executor
-    threads without corrupting another thread's parent linkage.  Ids
-    are allocated under a lock (unique per collector); the completion
-    log itself is a plain list — appends are atomic under the GIL and
-    ordering across threads is completion order, same as before.
-    Parent links never cross a thread boundary, mirroring how merged
-    worker events never cross a pid boundary.
+    Context-aware: the open-span stack is an immutable tuple in a
+    :class:`contextvars.ContextVar`, so span *nesting* follows the
+    execution context rather than the thread.  Each asyncio task runs
+    in its own copy of the context, so concurrent requests on the
+    serving loop (:mod:`repro.serve`) never nest under each other even
+    while holding spans across an ``await``; each thread starts from
+    an empty context, so executor threads cannot corrupt another
+    thread's parent linkage either.  Exiting a span resets the stack
+    by token.  Ids are allocated under a lock (unique per collector);
+    the completion log itself is a plain list — appends are atomic
+    under the GIL and ordering is completion order.  Parent links
+    never cross a task or thread boundary, mirroring how merged worker
+    events never cross a pid boundary.
     """
 
     def __init__(self) -> None:
         self.pid = os.getpid()
         self.origin = time.perf_counter()
         self.events: List[Dict[str, object]] = []
-        self._local = threading.local()
+        self._open: contextvars.ContextVar[Tuple[Span, ...]] = (
+            contextvars.ContextVar("repro_open_spans", default=())
+        )
         self._id_lock = threading.Lock()
         self._next_id = 1
-
-    @property
-    def _stack(self) -> List[Span]:
-        """This thread's open-span stack (created on first use)."""
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def span(self, name: str, /, **attrs) -> Span:
         return Span(self, name, attrs)

@@ -341,18 +341,15 @@ class DSEServer:
             self._experiment_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="serve-exp"
             )
-        jobs = req.get("jobs")
-        jobs = int(jobs) if jobs is not None else None
         assert self._experiment_lock is not None
         async with self._experiment_lock:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
-                self._experiment_executor,
-                _experiment_payload, name, jobs,
+                self._experiment_executor, _experiment_payload, name,
             )
 
 
-def _experiment_payload(name: str, jobs: Optional[int]) -> Dict[str, Any]:
+def _experiment_payload(name: str) -> Dict[str, Any]:
     """Run one experiment job and flatten its run record to JSON.
 
     Reuses the pipeline's job runner (same scoped totals, same cache
@@ -363,7 +360,7 @@ def _experiment_payload(name: str, jobs: Optional[int]) -> Dict[str, Any]:
     from repro.core.cache import resolve_cache_dir
     from repro.experiments.pipeline import _execute
 
-    run = _execute(name, jobs, resolve_cache_dir())
+    run = _execute(name, resolve_cache_dir())
     return {
         "name": run.name,
         "status": run.status,

@@ -7,8 +7,8 @@ cost model: for every candidate in the enumerated grid,
 exactly (``==``, not approx), and ``np.argmin`` over the score array
 must land on the same index as the engine's first-strictly-less scan,
 so tie-breaking survives vectorization.  The engine-level tests then
-check that ``run_search`` with the backend on and off returns the
-identical best point and that the new accounting fields behave.
+check that ``run_search``'s batch-scored fast path returns the
+oracle's best point and that the accounting fields behave.
 """
 
 import random
@@ -30,7 +30,6 @@ from repro.core.dse import (
 from repro.core.engine import (
     EngineOptions,
     clear_evaluation_cache,
-    default_batch,
     default_candidates,
     get_default_engine,
 )
@@ -39,14 +38,10 @@ from repro.core.perf import cost_scope
 from repro.energy.model import energy_report
 from repro.ops.attention import AttentionConfig, Scope
 
-# Same knobs as the scalar-engine suite, with only the backend toggled.
-# BATCH keeps candidate generation on (the default front end); BATCH_EXH
-# pins the exhaustive enumerate-then-batch path whose accounting some
-# stats tests document.
-SCALAR = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=False)
-BATCH = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True)
-BATCH_EXH = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=True,
-                          candidates=False)
+# BATCH is the engine's fast path (branch-and-bound, batch-scored);
+# ORACLE is its exhaustive scalar reference loop.
+ORACLE = EngineOptions(cache_size=8192, candidates=False)
+BATCH = EngineOptions(cache_size=8192)
 
 _SCOPES = (Scope.LA, Scope.BLOCK, Scope.MODEL)
 
@@ -181,7 +176,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("objective", list(Objective))
     def test_every_objective(self, bert_512, edge_accel, objective):
         scalar = search(bert_512, edge_accel, scope=Scope.LA,
-                        objective=objective, engine=SCALAR,
+                        objective=objective, engine=ORACLE,
                         retain_points=False)
         clear_evaluation_cache()
         fast = search(bert_512, edge_accel, scope=Scope.LA,
@@ -196,7 +191,7 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("scope", _SCOPES)
     def test_every_scope(self, small_cfg, cloud_accel, scope):
-        scalar = search(small_cfg, cloud_accel, scope=scope, engine=SCALAR,
+        scalar = search(small_cfg, cloud_accel, scope=scope, engine=ORACLE,
                         retain_points=False)
         clear_evaluation_cache()
         fast = search(small_cfg, cloud_accel, scope=scope, engine=BATCH,
@@ -207,7 +202,7 @@ class TestEngineEquivalence:
     def test_exhaustive_staging_grid(self, bert_4k, edge_accel):
         space = SearchSpace(exhaustive_staging=True)
         scalar = search(bert_4k, edge_accel, scope=Scope.LA, space=space,
-                        engine=SCALAR, retain_points=False)
+                        engine=ORACLE, retain_points=False)
         clear_evaluation_cache()
         fast = search(bert_4k, edge_accel, scope=Scope.LA, space=space,
                       engine=BATCH, retain_points=False)
@@ -217,14 +212,17 @@ class TestEngineEquivalence:
 
 class TestStats:
     def test_cold_search_accounting(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=BATCH_EXH,
+        res = search(small_cfg, edge_accel, engine=ORACLE,
                      retain_points=False)
         s = res.stats
-        # Every candidate went through the array path; the winner alone
-        # got the scalar breakdown, the losers are booked as pruned.
-        assert s.batch_evaluations == s.enumerated
-        assert s.evaluated == 1
-        assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
+        # The oracle runs every candidate through the scalar model
+        # once; a repeat finds every one in the cache.
+        assert s.evaluated == s.enumerated
+        assert s.pruned == s.cache_hits == s.batch_evaluations == 0
+        again = search(small_cfg, edge_accel, engine=ORACLE,
+                       retain_points=False).stats
+        assert again.cache_hits == again.enumerated == s.enumerated
+        assert again.evaluated == 0
 
     def test_cold_candidate_accounting(self, small_cfg, edge_accel):
         res = search(small_cfg, edge_accel, engine=BATCH,
@@ -248,7 +246,7 @@ class TestStats:
         assert second.stats.cache_hits == second.stats.enumerated
 
     def test_scalar_engine_never_batches(self, small_cfg, edge_accel):
-        res = search(small_cfg, edge_accel, engine=SCALAR,
+        res = search(small_cfg, edge_accel, engine=ORACLE,
                      retain_points=False)
         assert res.stats.batch_evaluations == 0
 
@@ -263,7 +261,7 @@ class TestStats:
 
         with pytest.raises(ValueError):
             SearchStats(enumerated=1, evaluated=1, pruned=0, cache_hits=0,
-                        wall_time_s=0.0, jobs=1, batch_evaluations=-1)
+                        wall_time_s=0.0, batch_evaluations=-1)
 
 
 class TestFallback:
@@ -288,7 +286,7 @@ class TestFallback:
 
     def test_engine_falls_back_to_scalar(self, edge_accel):
         scalar = search(self._HUGE, edge_accel, scope=Scope.LA,
-                        space=self._SPACE, engine=SCALAR,
+                        space=self._SPACE, engine=ORACLE,
                         retain_points=False)
         clear_evaluation_cache()
         fast = search(self._HUGE, edge_accel, scope=Scope.LA,
@@ -300,19 +298,22 @@ class TestFallback:
 
 
 class TestDefaultBatch:
+    """The batch backend runs exactly when the default engine takes
+    the fast path; ``default_candidates(False)`` selects the oracle."""
+
     def test_contextmanager_toggles_and_restores(self):
         before = get_default_engine()
-        with default_batch(False):
-            assert get_default_engine().batch is False
+        with default_candidates(False):
+            assert get_default_engine().candidates is False
         assert get_default_engine() == before
-        with default_batch(None):  # None leaves the default untouched
+        with default_candidates(None):  # None leaves the default untouched
             assert get_default_engine() == before
 
     def test_context_reaches_search(self, small_cfg, edge_accel):
-        with default_batch(False):
+        with default_candidates(False):
             res = search(small_cfg, edge_accel, retain_points=False)
         assert res.stats.batch_evaluations == 0
+        assert res.stats.evaluated == res.stats.enumerated
         clear_evaluation_cache()
-        with default_batch(True), default_candidates(False):
-            res = search(small_cfg, edge_accel, retain_points=False)
-        assert res.stats.batch_evaluations == res.stats.enumerated
+        res = search(small_cfg, edge_accel, retain_points=False)
+        assert 0 < res.stats.batch_evaluations < res.stats.enumerated

@@ -8,7 +8,7 @@ Two bars, matching :mod:`repro.core.candidates`'s contract:
   inverts.  Randomized (hypothesis) workloads and buffer sizes probe
   the closed forms off the presets.
 * **Equivalence** — the generated front end must return the *same
-  bytes* as exhaustive enumeration: identical winner, identical cost,
+  bytes* as the exhaustive oracle: identical winner, identical cost,
   with the exhaustive winner never bound-pruned (not even by the
   enumeration-order tie gate).
 """
@@ -47,9 +47,8 @@ from repro.core.footprint import footprint_r_gran
 from repro.core.perf import PerfOptions, cost_scope, partition_scratchpad
 from repro.ops.attention import AttentionConfig, Scope
 
-CANDIDATES = EngineOptions(jobs=1, prune=True, cache_size=4096, batch=True)
-EXHAUSTIVE = EngineOptions(jobs=1, prune=True, cache_size=4096, batch=True,
-                           candidates=False)
+CANDIDATES = EngineOptions(cache_size=4096)
+EXHAUSTIVE = EngineOptions(cache_size=4096, candidates=False)  # the oracle
 
 SPACES = {
     "default": SearchSpace(),
@@ -133,9 +132,16 @@ class TestPlanStructure:
         assert sorted(plan.order) == list(range(len(plan.families)))
 
     def test_footprint_objective_rejected(self, bert_512, edge_accel):
+        """FOOTPRINT has no per-family cost bound; the plan gives
+        every family the trivial bound 0.0 instead."""
+        fam = next(iter(enumerate_families(bert_512, SearchSpace())))
         with pytest.raises(ValueError):
-            plan_candidates(Objective.FOOTPRINT, bert_512, Scope.LA,
-                            edge_accel)
+            family_lower_bound(Objective.FOOTPRINT, bert_512, Scope.LA,
+                               edge_accel, fam)
+        plan = plan_candidates(Objective.FOOTPRINT, bert_512, Scope.LA,
+                               edge_accel)
+        assert plan.bounds == (0.0,) * len(plan.families)
+        assert plan.order == tuple(range(len(plan.families)))
 
 
 class TestLocate:
@@ -280,12 +286,25 @@ class TestSearchEquivalence:
 
     def test_footprint_objective_uses_exhaustive_path(self, small_cfg,
                                                       edge_accel):
-        """FOOTPRINT has no bound; the engine must fall back rather
-        than reject the search."""
-        clear_evaluation_cache()
-        res = search(small_cfg, edge_accel, objective=Objective.FOOTPRINT,
-                     engine=CANDIDATES, retain_points=False)
-        assert res.stats.candidates_generated == 0
+        """FOOTPRINT has no bound: the fast path agrees with the
+        oracle, and skips no family unless an earlier winner ties the
+        trivial 0.0 bound exactly (plain Base stages nothing)."""
+        for space in (SearchSpace(), SearchSpace(include_plain_base=False)):
+            clear_evaluation_cache()
+            slow = search(small_cfg, edge_accel,
+                          objective=Objective.FOOTPRINT, space=space,
+                          engine=EXHAUSTIVE, retain_points=False)
+            clear_evaluation_cache()
+            res = search(small_cfg, edge_accel,
+                         objective=Objective.FOOTPRINT, space=space,
+                         engine=CANDIDATES, retain_points=False)
+            assert res.best.dataflow == slow.best.dataflow
+            assert res.best.cost == slow.best.cost
+            if res.best.cost.max_footprint_bytes > 0:
+                assert res.stats.families_pruned == 0
+                assert res.stats.candidates_generated == (
+                    res.stats.enumerated
+                )
 
     def test_stats_ledger_balances(self, small_cfg, edge_accel):
         clear_evaluation_cache()

@@ -1,37 +1,38 @@
-"""Unit tests for the DSE search engine (parallel / pruned / memoized).
+"""Unit tests for the DSE search engine (fast path, oracle, memos).
 
-The load-bearing property is *equivalence*: whatever combination of
-jobs / prune / cache the engine runs with, the best design point it
-returns — dataflow identity and objective value — must match the naive
-serial full evaluation.  Everything else (stats invariants, bound
-admissibility, cache behavior) supports that guarantee.
+The load-bearing property is *equivalence*: whatever cache or warm
+start the engine runs with, the best design point its branch-and-bound
+fast path returns — dataflow identity, objective value and cost
+breakdown — must match the exhaustive scalar oracle.  Everything else
+(stats invariants, bound admissibility, cache behavior) supports that
+guarantee.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.arch.presets import cloud
+from repro.core.configs import attacc
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
     EngineOptions,
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
-    default_jobs,
     evaluation_cache_info,
     get_default_engine,
     objective_lower_bound,
     set_default_engine,
 )
 from repro.core.perf import cost_scope
+from repro.models.configs import model_config
 from repro.ops.attention import Scope
 
-# These exercise the scalar engine machinery (pruning, pooling, the
-# per-candidate caches); the batch backend has its own suite in
-# test_batch.py and is disabled here so the accounting assertions see
-# the scalar path.
-NAIVE = EngineOptions(jobs=1, prune=False, cache_size=0, batch=False)
-FAST = EngineOptions(jobs=1, prune=True, cache_size=8192, batch=False)
+# NAIVE is the exhaustive scalar oracle with memoization off; FAST is
+# the default engine: the branch-and-bound fast path, cached.
+NAIVE = EngineOptions(cache_size=0, candidates=False)
+FAST = EngineOptions(cache_size=8192)
 
 
 @pytest.fixture(autouse=True)
@@ -73,30 +74,12 @@ class TestEquivalence:
     def test_every_objective_matches_naive(self, small_cfg, edge_accel,
                                            objective):
         naive = search(small_cfg, edge_accel, scope=Scope.LA,
-                       objective=objective, engine=NAIVE)
+                       objective=objective, engine=NAIVE,
+                       retain_points=False)
         fast = search(small_cfg, edge_accel, scope=Scope.LA,
                       objective=objective, engine=FAST, retain_points=False)
         _assert_same_best(naive, fast, objective)
-
-    def test_parallel_jobs_match_serial(self, small_cfg, edge_accel):
-        naive = search(small_cfg, edge_accel, scope=Scope.LA, engine=NAIVE)
-        par = search(small_cfg, edge_accel, scope=Scope.LA,
-                     engine=EngineOptions(jobs=2, cache_size=0, batch=False),
-                     retain_points=False)
-        _assert_same_best(naive, par)
-        assert par.stats.jobs == 2
-
-    def test_parallel_retained_points_match_serial(self, small_cfg,
-                                                   edge_accel):
-        naive = search(small_cfg, edge_accel, scope=Scope.LA, engine=NAIVE)
-        par = search(small_cfg, edge_accel, scope=Scope.LA,
-                     engine=EngineOptions(jobs=2, cache_size=0, batch=False))
-        assert [p.dataflow for p in par.points] == [
-            p.dataflow for p in naive.points
-        ]
-        assert [p.cost.total_cycles for p in par.points] == pytest.approx(
-            [p.cost.total_cycles for p in naive.points]
-        )
+        assert fast.best.cost == naive.best.cost
 
     def test_cache_does_not_change_best(self, bert_512, edge_accel):
         space = SearchSpace(exhaustive_staging=True)
@@ -109,6 +92,82 @@ class TestEquivalence:
                       retain_points=False)
         _assert_same_best(naive, warm)
         assert warm.stats.cache_hits > 0
+
+
+class TestFallbackBoundary:
+    """Fast path vs oracle on both sides of the batch backend's
+    float64-exactness guard (an L-A pair of 2**50 MACs or more).
+
+    Past the guard ``evaluate_grid`` raises ``BatchFallback`` and the
+    fast path scores the same members with the scalar model inside
+    its branch-and-bound; below it the members are batch-scored.
+    Either way the answer is the oracle's, and a repeat search is a
+    winner-memo hit that never touches the batch backend.
+    """
+
+    # fig12b's cloud L-A workload (xlm) and the ATTACC policy's space.
+    _POLICY = attacc()
+    _SEQS = {"past-guard": 131072, "below-guard": 16384}
+
+    def _search(self, seq, objective, engine):
+        return search(
+            model_config("xlm", seq=seq), cloud(), scope=Scope.LA,
+            objective=objective, space=self._POLICY.space,
+            options=self._POLICY.options, engine=engine,
+            retain_points=False,
+        )
+
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        import repro.core.batch as batch
+
+        calls = []
+        original = batch.evaluate_grid
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[3]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "evaluate_grid", counting)
+        return calls
+
+    @pytest.mark.parametrize("side", sorted(_SEQS))
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_fast_path_matches_oracle(self, side, objective, grid_calls):
+        seq = self._SEQS[side]
+        oracle = self._search(seq, objective, NAIVE)
+        fast = self._search(seq, objective, FAST)
+        assert fast.best.dataflow == oracle.best.dataflow
+        assert objective.score(fast.best.cost, fast.best.energy) == (
+            objective.score(oracle.best.cost, oracle.best.energy)
+        )
+        assert fast.best.cost == oracle.best.cost
+        assert fast.best.energy == oracle.best.energy
+        assert grid_calls, "the fast path never tried the batch backend"
+        s = fast.stats
+        assert s.enumerated == s.cache_hits + s.pruned + s.evaluated
+        if side == "past-guard":
+            assert s.batch_evaluations == 0
+            assert s.evaluated > 1  # scored in place, not just the winner
+        else:
+            assert s.batch_evaluations > 0
+        assert oracle.stats.batch_evaluations == 0
+        assert oracle.stats.evaluated == oracle.stats.enumerated
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_repeat_fallback_search_is_a_memo_hit(self, objective,
+                                                  grid_calls):
+        seq = self._SEQS["past-guard"]
+        first = self._search(seq, objective, FAST)
+        # The fallback is latched: one refused grid call per search.
+        assert len(grid_calls) == 1
+        del grid_calls[:]
+        second = self._search(seq, objective, FAST)
+        assert second.best == first.best
+        assert second.stats.evaluated == 0
+        assert second.stats.batch_evaluations == 0
+        assert second.stats.cache_hits == second.stats.enumerated
+        assert grid_calls == []
 
 
 class TestBounds:
@@ -163,18 +222,29 @@ class TestStats:
         assert len(res.points) == res.stats.enumerated
 
     def test_no_pruning_for_footprint(self, small_cfg, edge_accel):
+        # FOOTPRINT has no cost bound: every family's bound is 0.0, so
+        # no family is skipped on its bound.  The exact-tie gate alone
+        # may skip families behind an earlier zero-footprint winner
+        # (plain Base stages nothing), which cannot change the answer.
         res = search(small_cfg, edge_accel, objective=Objective.FOOTPRINT,
                      engine=FAST, retain_points=False)
-        assert res.stats.pruned == 0
+        assert res.best.cost.max_footprint_bytes == 0
+        staged = search(small_cfg, edge_accel,
+                        objective=Objective.FOOTPRINT,
+                        space=SearchSpace(include_plain_base=False),
+                        engine=FAST, retain_points=False)
+        assert staged.best.cost.max_footprint_bytes > 0
+        assert staged.stats.families_pruned == 0
+        assert staged.stats.candidates_skipped == 0
+        assert staged.stats.candidates_generated == staged.stats.enumerated
 
     def test_repeat_search_is_all_cache_hits(self, small_cfg, edge_accel):
         first = search(small_cfg, edge_accel, engine=FAST,
                        retain_points=False)
         second = search(small_cfg, edge_accel, engine=FAST,
                         retain_points=False)
-        assert second.stats.cache_hits == (
-            first.stats.evaluated + first.stats.cache_hits
-        )
+        assert second.best == first.best
+        assert second.stats.cache_hits == second.stats.enumerated
         assert second.stats.evaluated == 0
 
     def test_cache_size_zero_disables_memoization(self, small_cfg,
@@ -187,7 +257,7 @@ class TestStats:
 
         with pytest.raises(ValueError):
             SearchStats(enumerated=3, evaluated=1, pruned=1, cache_hits=0,
-                        wall_time_s=0.0, jobs=1)
+                        wall_time_s=0.0)
 
 
 class TestRetainPoints:
@@ -206,24 +276,12 @@ class TestRetainPoints:
 class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EngineOptions(jobs=0)
-        with pytest.raises(ValueError):
             EngineOptions(cache_size=-1)
-        with pytest.raises(ValueError):
-            EngineOptions(chunk_size=0)
-
-    def test_default_jobs_contextmanager(self):
-        before = get_default_engine()
-        with default_jobs(3):
-            assert get_default_engine().jobs == 3
-        assert get_default_engine() == before
-        with default_jobs(None):  # None leaves the default untouched
-            assert get_default_engine() == before
 
     def test_set_default_engine_roundtrip(self):
-        previous = set_default_engine(EngineOptions(jobs=2))
+        previous = set_default_engine(EngineOptions(candidates=False))
         try:
-            assert get_default_engine().jobs == 2
+            assert get_default_engine().candidates is False
         finally:
             set_default_engine(previous)
 

@@ -180,7 +180,7 @@ class TestSearchWithVariants:
         )
         exhaustive = search(
             cfg, accel, scope=Scope.LA, space=space, retain_points=False,
-            engine=EngineOptions(candidates=False, batch=False),
+            engine=EngineOptions(candidates=False),
         )
         assert gated.best.dataflow == exhaustive.best.dataflow
         assert gated.best.cost.total_cycles == \

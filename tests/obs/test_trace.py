@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -55,7 +56,30 @@ class TestSpans:
                 raise ValueError("boom")
         (event,) = collector.events
         assert event["error"] == "ValueError"
-        assert not collector._stack, "stack must unwind on error"
+        assert collector._open.get() == (), "stack must unwind on error"
+
+    def test_concurrent_coroutines_are_separate_roots(self):
+        """Spans held across an ``await`` by concurrent tasks must not
+        nest under each other, and each keeps its whole duration as
+        self time."""
+        collector = TraceCollector()
+
+        async def hold(name, seconds):
+            with collector.span(name):
+                await asyncio.sleep(seconds)
+
+        async def main():
+            await asyncio.gather(hold("a", 0.02), hold("b", 0.05))
+
+        asyncio.run(main())
+        by_name = {e["name"]: e for e in collector.events}
+        for name in ("a", "b"):
+            event = by_name[name]
+            assert event["parent"] == 0 and event["depth"] == 0, event
+            assert event["self_s"] == event["dur_s"]
+        assert by_name["a"]["dur_s"] >= 0.02
+        assert by_name["b"]["dur_s"] >= 0.05
+        assert collector._open.get() == ()
 
     def test_ids_are_unique_and_monotonic(self):
         collector = TraceCollector()
