@@ -212,8 +212,11 @@ class PersistentCache:
         self._lock = threading.RLock()
 
     # -- addressing ----------------------------------------------------
-    def _entry_path(self, key: object) -> Tuple[Path, str]:
-        key_repr = repr(key)
+    def _entry_path(
+        self, key: object, key_repr: Optional[str] = None
+    ) -> Tuple[Path, str]:
+        if key_repr is None:
+            key_repr = repr(key)
         digest = hashlib.sha256(key_repr.encode()).hexdigest()
         return self._generation / digest[:2] / f"{digest[2:]}.pkl", key_repr
 
@@ -221,18 +224,26 @@ class PersistentCache:
         return list(self._generation.glob("??/*.pkl"))
 
     # -- core operations -----------------------------------------------
-    def get(self, key: object) -> Optional[object]:
-        """Stored value for ``key``, or ``None`` on miss/corruption."""
-        with self._lock:
-            return self._get_observed(key)
+    def get(
+        self, key: object, key_repr: Optional[str] = None
+    ) -> Optional[object]:
+        """Stored value for ``key``, or ``None`` on miss/corruption.
 
-    def _get_observed(self, key: object) -> Optional[object]:
+        ``key_repr``, when given, must equal ``repr(key)``: callers
+        that compose it from cached parts save re-rendering the key.
+        """
+        with self._lock:
+            return self._get_observed(key, key_repr)
+
+    def _get_observed(
+        self, key: object, key_repr: Optional[str]
+    ) -> Optional[object]:
         registry = _metrics_active()
         if registry is None:
-            return self._get(key)
+            return self._get(key, key_repr)
         before = self.stats.copy()
         start = time.perf_counter()
-        value = self._get(key)
+        value = self._get(key, key_repr)
         elapsed = time.perf_counter() - start
         delta = self.stats - before
         registry.counter("cache.lookups").inc(delta.lookups)
@@ -249,9 +260,11 @@ class PersistentCache:
             )
         return value
 
-    def _get(self, key: object) -> Optional[object]:
+    def _get(
+        self, key: object, key_repr: Optional[str]
+    ) -> Optional[object]:
         self.stats.lookups += 1
-        path, key_repr = self._entry_path(key)
+        path, key_repr = self._entry_path(key, key_repr)
         try:
             with open(path, "rb") as handle:
                 payload = pickle.load(handle)
@@ -279,25 +292,34 @@ class PersistentCache:
             pass
         return payload[2]
 
-    def put(self, key: object, value: object) -> None:
-        """Store ``value`` under ``key`` (atomic, last-writer-wins)."""
-        with self._lock:
-            self._put_observed(key, value)
+    def put(
+        self, key: object, value: object, key_repr: Optional[str] = None
+    ) -> None:
+        """Store ``value`` under ``key`` (atomic, last-writer-wins).
 
-    def _put_observed(self, key: object, value: object) -> None:
+        ``key_repr`` is as for :meth:`get`.
+        """
+        with self._lock:
+            self._put_observed(key, value, key_repr)
+
+    def _put_observed(
+        self, key: object, value: object, key_repr: Optional[str]
+    ) -> None:
         registry = _metrics_active()
         if registry is None:
-            self._put(key, value)
+            self._put(key, value, key_repr)
             return
         before = self.stats.writes
         start = time.perf_counter()
-        self._put(key, value)
+        self._put(key, value, key_repr)
         elapsed = time.perf_counter() - start
         registry.counter("cache.writes").inc(self.stats.writes - before)
         registry.histogram("cache.put_s").observe(elapsed)
 
-    def _put(self, key: object, value: object) -> None:
-        path, key_repr = self._entry_path(key)
+    def _put(
+        self, key: object, value: object, key_repr: Optional[str]
+    ) -> None:
+        path, key_repr = self._entry_path(key, key_repr)
         payload = pickle.dumps(
             (_ENTRY_HEADER, key_repr, value),
             protocol=pickle.HIGHEST_PROTOCOL,

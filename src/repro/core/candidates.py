@@ -11,11 +11,12 @@ the incumbent.
 
 Three pieces:
 
-* **Family planning** (:func:`plan_candidates`) — the space is listed
-  as :class:`~repro.core.dse.DataflowFamily` units (stationarity x
+* **Family planning** — :func:`family_layout` lists the space as
+  :class:`~repro.core.dse.DataflowFamily` units (stationarity x
   granularity x row count), each sized and offset against the global
-  enumeration order without expanding anything, and each bounded by
-  its cheapest *representative member* (see
+  enumeration order without expanding anything or computing a bound
+  (all a winner-memo hit needs); :func:`plan_candidates` then bounds
+  each family by its cheapest *representative member* (see
   :func:`family_representative`): fully staged, unfused where the
   space allows it.  Representative bounds are admissible for every
   member — staging can only add traffic floors, fusion can only add
@@ -42,6 +43,7 @@ source fingerprint (see :mod:`repro.lint.contracts`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -72,6 +74,8 @@ from repro.ops.attention import AttentionConfig, Scope
 __all__ = [
     "Incumbent",
     "make_incumbent",
+    "FamilyLayout",
+    "family_layout",
     "CandidatePlan",
     "plan_candidates",
     "family_representative",
@@ -228,25 +232,61 @@ def feasible_row_interval(
 
 
 @dataclass(frozen=True)
-class CandidatePlan:
-    """A planned search: families, sizes, offsets, bounds, visit order.
+class FamilyLayout:
+    """A search space as families, sizes and offsets — no bounds.
 
     ``offsets[i]`` is the global enumeration index of family ``i``'s
     first member (prefix sums of ``sizes``), so a family's members are
     exactly the index range ``[offsets[i], offsets[i] + sizes[i])`` of
     :func:`repro.core.dse.enumerate_dataflows` — nothing is expanded
-    to know that.  ``order`` lists family positions best-bound-first
-    (ties by position, keeping the plan deterministic);
-    ``resident_rows`` is the :func:`feasible_row_interval` the bounds
-    already incorporate, reported for observability and tests.
+    to know that.  ``total`` is the size of the whole space.
     """
 
     families: Tuple[DataflowFamily, ...]
     sizes: Tuple[int, ...]
     offsets: Tuple[int, ...]
+    total: int
+
+    def locate(self, index: int) -> Tuple[int, int]:
+        """``(family position, member position)`` of a global index.
+
+        Empty families share their successor's offset; the last family
+        starting at or before ``index`` is the one that holds it.
+        """
+        if not 0 <= index < self.total:
+            raise IndexError(f"candidate index {index} outside "
+                             f"[0, {self.total})")
+        fi = bisect_right(self.offsets, index) - 1
+        return fi, index - self.offsets[fi]
+
+
+def family_layout(
+    cfg: AttentionConfig, space: SearchSpace = SearchSpace()
+) -> FamilyLayout:
+    """Enumerate the space's families once, with sizes and offsets."""
+    families = tuple(enumerate_families(cfg, space))
+    sizes = tuple(family_size(f, space) for f in families)
+    offsets: List[int] = []
+    total = 0
+    for size in sizes:
+        offsets.append(total)
+        total += size
+    return FamilyLayout(families=families, sizes=sizes,
+                        offsets=tuple(offsets), total=total)
+
+
+@dataclass(frozen=True)
+class CandidatePlan(FamilyLayout):
+    """A planned search: the :class:`FamilyLayout` plus bounds and order.
+
+    ``order`` lists family positions best-bound-first (ties by
+    position, keeping the plan deterministic); ``resident_rows`` is the
+    :func:`feasible_row_interval` the bounds already incorporate,
+    reported for observability and tests.
+    """
+
     bounds: Tuple[float, ...]
     order: Tuple[int, ...]
-    total: int
     resident_rows: Tuple[int, int]
 
 
@@ -258,6 +298,7 @@ def plan_candidates(
     space: SearchSpace = SearchSpace(),
     options: PerfOptions = PerfOptions(),
     energy_table: Optional[EnergyTable] = None,
+    layout: Optional[FamilyLayout] = None,
 ) -> CandidatePlan:
     """Plan a search without expanding a single candidate.
 
@@ -265,15 +306,13 @@ def plan_candidates(
     closed-form evaluations, orders of magnitude below expanding and
     screening the full grid.  ``FOOTPRINT`` has no cost bound: every
     family gets the trivial bound ``0.0``, so no family is skipped on
-    its bound.
+    its bound.  ``layout`` is :func:`family_layout` of the same
+    ``cfg``/``space`` when the caller already built it; the families
+    are then not enumerated again.
     """
-    families = tuple(enumerate_families(cfg, space))
-    sizes = tuple(family_size(f, space) for f in families)
-    offsets_list: List[int] = []
-    total = 0
-    for size in sizes:
-        offsets_list.append(total)
-        total += size
+    if layout is None:
+        layout = family_layout(cfg, space)
+    families = layout.families
     if objective is Objective.FOOTPRINT:
         bounds = (0.0,) * len(families)
     else:
@@ -287,17 +326,20 @@ def plan_candidates(
     )
     return CandidatePlan(
         families=families,
-        sizes=sizes,
-        offsets=tuple(offsets_list),
+        sizes=layout.sizes,
+        offsets=layout.offsets,
+        total=layout.total,
         bounds=bounds,
         order=order,
-        total=total,
         resident_rows=feasible_row_interval(cfg, accel, options),
     )
 
 
 def locate_candidate(
-    cfg: AttentionConfig, space: SearchSpace, dataflow: Dataflow
+    cfg: AttentionConfig,
+    space: SearchSpace,
+    dataflow: Dataflow,
+    layout: Optional[FamilyLayout] = None,
 ) -> Optional[int]:
     """Global enumeration index of ``dataflow``, or ``None`` if absent.
 
@@ -306,19 +348,22 @@ def locate_candidate(
     costs one family expansion, not a grid enumeration.  Equality is
     full dataclass equality — a hand-built dataflow with non-default
     tiles or a foreign row count is simply not in the space.
+    ``layout`` is :func:`family_layout` of the same ``cfg``/``space``
+    when the caller already built it; the families are then not
+    enumerated again.
     """
     rows: Optional[int] = (
         dataflow.rows if dataflow.granularity is Granularity.R else None
     )
     target = DataflowFamily(dataflow.stationarity, dataflow.granularity,
                             rows, dataflow.variant)
-    offset = 0
-    for family in enumerate_families(cfg, space):
-        size = family_size(family, space)
-        if family == target:
-            for j, member in enumerate(expand_family(cfg, family, space)):
-                if member == dataflow:
-                    return offset + j
-            return None
-        offset += size
+    if layout is None:
+        layout = family_layout(cfg, space)
+    try:
+        fi = layout.families.index(target)
+    except ValueError:
+        return None
+    for j, member in enumerate(expand_family(cfg, target, space)):
+        if member == dataflow:
+            return layout.offsets[fi] + j
     return None

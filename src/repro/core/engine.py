@@ -54,7 +54,8 @@ that sweep in exactly two shapes, which provably return the same bytes:
    stores only the deterministic :class:`~repro.core.perf.ScopeCost`;
    energy is derived per caller (it depends on the energy table).  A
    fast-path search also memoizes its winner's index (``"cand-memo"``),
-   so a repeat search scores nothing.
+   looked up before any family bound is computed, so a repeat search
+   neither plans nor scores.
 
 5. **Cross-run persistence.**  When a cache directory is configured
    (``--cache-dir`` / ``REPRO_CACHE_DIR``; see
@@ -80,12 +81,15 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.accelerator import Accelerator
 from repro.core.cache import PersistentCache, get_default_cache
 from repro.core.candidates import (
+    FamilyLayout,
     Incumbent,
+    family_layout,
     family_representative,
     locate_candidate,
     plan_candidates,
@@ -499,19 +503,26 @@ def accelerator_fingerprint(accel: Accelerator) -> tuple:
 _UNRESOLVED = object()
 
 
+# Tag of the winner-memo key (first element, compared by identity).
+_MEMO_TAG = "cand-memo"
+
+
 class _CostStore:
     """LRU -> disk -> scalar model, for one ``(cfg, scope, accel,
     options)`` search identity.
 
-    ``get``/``put`` take any key (evaluations and winner memos share
-    both cache levels); ``get`` reports where a hit came from
+    ``get``/``put`` take an evaluation key (:meth:`key`) or the winner
+    memo key (:meth:`memo_key`); ``get`` reports where a hit came from
     (``"lru"``/``"disk"``) so callers can book their stats.  The
     persistent cache is resolved on first use, so LRU hits never pay
-    for the lookup of the configured directory.
+    for the lookup of the configured directory.  The disk cache
+    addresses entries by ``repr(key)``; :meth:`text` composes that
+    string from the ``repr`` of the constant key parts, computed once
+    per store on the first disk access.
     """
 
     __slots__ = ("cfg", "scope", "accel", "options", "accel_fp",
-                 "_pcache", "use_cache")
+                 "_pcache", "use_cache", "_parts")
 
     def __init__(self, cfg: AttentionConfig, scope: Scope,
                  accel: Accelerator, options: PerfOptions,
@@ -523,6 +534,7 @@ class _CostStore:
         self.accel_fp = accelerator_fingerprint(accel)
         self._pcache = _UNRESOLVED
         self.use_cache = use_cache
+        self._parts: Optional[Tuple[str, str]] = None
 
     @property
     def pcache(self) -> Optional[PersistentCache]:
@@ -533,13 +545,33 @@ class _CostStore:
     def key(self, dataflow: Dataflow) -> tuple:
         return (self.cfg, self.accel_fp, dataflow, self.options, self.scope)
 
+    def memo_key(self, objective: Objective,
+                 energy_table: Optional[EnergyTable],
+                 space: SearchSpace) -> tuple:
+        return (_MEMO_TAG, self.cfg, self.accel_fp, self.options,
+                self.scope, objective, energy_table, space)
+
+    def text(self, key: tuple) -> str:
+        """``repr(key)`` for a :meth:`key` or :meth:`memo_key` key."""
+        if self._parts is None:
+            self._parts = (
+                f"{self.cfg!r}, {self.accel_fp!r}",
+                f"{self.options!r}, {self.scope!r}",
+            )
+        head, tail = self._parts
+        if key[0] is _MEMO_TAG:
+            objective, energy_table, space = key[5:]
+            return (f"({_MEMO_TAG!r}, {head}, {tail}, {objective!r}, "
+                    f"{energy_table!r}, {space!r})")
+        return f"({head}, {key[2]!r}, {tail})"
+
     def get(self, key: tuple) -> Tuple[Optional[object], str]:
         value = _CACHE.get(key) if self.use_cache else None
         if value is not None:
             return value, "lru"
         pcache = self.pcache
         if pcache is not None:
-            value = pcache.get(key)
+            value = pcache.get(key, self.text(key))
             if value is not None:
                 if self.use_cache:
                     _CACHE.put(key, value)
@@ -551,7 +583,7 @@ class _CostStore:
             _CACHE.put(key, value)
         pcache = self.pcache
         if pcache is not None:
-            pcache.put(key, value)
+            pcache.put(key, value, self.text(key))
 
     def evaluate(self, dataflow: Dataflow) -> ScopeCost:
         """Run the scalar model and write the result back."""
@@ -950,6 +982,7 @@ def _locate_warm_start(
     objective: Objective,
     space: SearchSpace,
     options: PerfOptions,
+    layout: FamilyLayout,
 ) -> Optional[int]:
     """Global enumeration index of a valid warm-start seed, or ``None``.
 
@@ -971,7 +1004,7 @@ def _locate_warm_start(
     ):
         _metric_inc("engine.warm_start.rejected")
         return None
-    index = locate_candidate(cfg, space, warm.dataflow)
+    index = locate_candidate(cfg, space, warm.dataflow, layout)
     if index is None:
         _metric_inc("engine.warm_start.rejected")
         return None
@@ -986,9 +1019,11 @@ def _candidate_search(
     start: float,
     warm: Optional[Incumbent],
 ) -> DSEResult:
-    """The fast path: plan families, branch-and-bound, batch-score.
+    """The fast path: winner memo, else plan, branch-and-bound, score.
 
-    Never expands the whole space.  :func:`repro.core.candidates.plan_candidates`
+    Never expands the whole space.  The family layout comes first; a
+    repeat search is answered from the winner memo before any bound is
+    computed.  On a miss, :func:`repro.core.candidates.plan_candidates`
     derives one admissible bound per family from its cheapest
     representative member.  Families are gated twice — first against
     the warm-start incumbent (when one is supplied), then against the
@@ -1011,9 +1046,8 @@ def _candidate_search(
 
     cfg, scope, accel, options = (store.cfg, store.scope, store.accel,
                                   store.options)
-    plan = plan_candidates(objective, cfg, scope, accel, space,
-                           options=options, energy_table=energy_table)
-    n = plan.total
+    layout = family_layout(cfg, space)
+    n = layout.total
     if n == 0:
         raise ValueError("search space is empty")
     need_energy = objective in (Objective.ENERGY, Objective.EDP)
@@ -1025,17 +1059,15 @@ def _candidate_search(
         return objective.score(cost, energy)
 
     def _dataflow_at(index: int) -> Dataflow:
-        fi = max(i for i, offset in enumerate(plan.offsets)
-                 if offset <= index)
-        members = list(expand_family(cfg, plan.families[fi], space))
-        return members[index - plan.offsets[fi]]
+        fi, j = layout.locate(index)
+        return next(islice(expand_family(cfg, layout.families[fi], space),
+                           j, None))
 
-    def _result(index: int, cost: ScopeCost,
+    def _result(dataflow: Dataflow, cost: ScopeCost,
                 stats: SearchStats) -> DSEResult:
         _accumulate(stats)
         energy = energy_report(cost.counts, energy_table)
-        best = DesignPoint(dataflow=_dataflow_at(index), cost=cost,
-                           energy=energy)
+        best = DesignPoint(dataflow=dataflow, cost=cost, energy=energy)
         return DSEResult(best=best, points=(), objective=objective,
                          stats=stats)
 
@@ -1043,14 +1075,13 @@ def _candidate_search(
     # (not the expanded grid — expansion is exactly what this path
     # avoids).  Valid because enumeration order is deterministic and
     # the dse/candidates sources are part of the disk-cache fingerprint.
-    memo_key = (
-        "cand-memo", cfg, store.accel_fp, options, scope, objective,
-        energy_table, space,
-    )
+    # Consulted before any bound is computed: a hit costs the family
+    # layout, two cache lookups and one family expansion.
+    memo_key = store.memo_key(objective, energy_table, space)
     winner, memo_source = store.get(memo_key)
     if winner is not None and 0 <= int(winner) < n:
-        index = int(winner)
-        cost, source = store.resolve(_dataflow_at(index))
+        dataflow = _dataflow_at(int(winner))
+        cost, source = store.resolve(dataflow)
         evaluated = 1 if source == "model" else 0
         stats = SearchStats(
             enumerated=n,
@@ -1063,7 +1094,12 @@ def _candidate_search(
                 + (1 if source == "disk" else 0)
             ),
         )
-        return _result(index, cost, stats)
+        return _result(dataflow, cost, stats)
+
+    with _span("candidate-plan", families=len(layout.families)):
+        plan = plan_candidates(objective, cfg, scope, accel, space,
+                               options=options, energy_table=energy_table,
+                               layout=layout)
 
     best_value: Optional[float] = None
     best_index: Optional[int] = None
@@ -1085,7 +1121,7 @@ def _candidate_search(
     # its own family, which can never be family-pruned (the family's
     # bound is <= the seed's value).
     warm_index = _locate_warm_start(warm, cfg, scope, objective, space,
-                                    options)
+                                    options, layout)
     if warm_index is not None:
         cost, _ = store.resolve(_dataflow_at(warm_index))
         _consider(_score(cost), warm_index)
@@ -1227,11 +1263,12 @@ def _candidate_search(
                candidates_skipped=family_skipped, fallback=fallback)
 
     assert best_index is not None  # first family always scores someone
+    best_dataflow = _dataflow_at(best_index)
     if best_index in scalar_costs:
         cost = scalar_costs[best_index]
         batch_losers = batch_evaluations
     else:
-        cost, source = store.resolve(_dataflow_at(best_index))
+        cost, source = store.resolve(best_dataflow)
         batch_losers = batch_evaluations - 1
         if source == "model":
             evaluated += 1
@@ -1255,7 +1292,7 @@ def _candidate_search(
         candidates_skipped=family_skipped,
         families_pruned=families_pruned,
     )
-    return _result(best_index, cost, stats)
+    return _result(best_dataflow, cost, stats)
 
 
 def _oracle_search(

@@ -9,8 +9,10 @@ match answers arriving out of order.  Responses are either
     the operation's payload, or
 
 ``{"id": ..., "ok": false, "code": "...", "error": "..."}``
-    a typed failure (``bad_request``, ``overloaded``,
-    ``deadline_exceeded``, ``draining``, ``internal``).
+    a typed failure (``bad_request``, ``too_large``, ``overloaded``,
+    ``deadline_exceeded``, ``draining``, ``internal``).  ``too_large``
+    answers a request line longer than the server's line limit; its
+    ``id`` is ``null`` because the line is never parsed.
 
 Long-running ``sweep`` operations additionally stream progress events
 — ``{"id": ..., "event": "progress", "done": k, "total": n}`` — before

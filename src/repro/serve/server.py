@@ -63,7 +63,31 @@ from repro.serve.protocol import (
 )
 from repro.serve.scheduler import CoalescingScheduler, SchedulerConfig
 
-__all__ = ["DSEServer", "ServerThread", "run_server"]
+__all__ = ["MAX_LINE_BYTES", "DSEServer", "ServerThread", "run_server"]
+
+#: Longest accepted request line, newline excluded: asyncio's default
+#: ``StreamReader`` limit (64 KiB, ~850 ``sweep`` entries), stated
+#: explicitly.  A longer line is discarded through its newline and
+#: answered with a ``too_large`` error; the connection stays open.
+MAX_LINE_BYTES = 2**16
+
+
+async def _discard_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Drop an overlong line through its newline (or to EOF).
+
+    ``consumed`` is the byte count a :class:`asyncio.LimitOverrunError`
+    reported as buffered without an acceptable newline; those bytes
+    are dropped, then reading resumes until the newline arrives.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            return
 
 
 class DSEServer:
@@ -94,7 +118,7 @@ class DSEServer:
         self._done = asyncio.Event()
         self.scheduler.start()
         self._server = await asyncio.start_server(
-            self._on_client, self._host, self._port
+            self._on_client, self._host, self._port, limit=MAX_LINE_BYTES
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
@@ -135,6 +159,11 @@ class DSEServer:
         assert self._done is not None, "server not started"
         await self._done.wait()
 
+    @property
+    def draining(self) -> bool:
+        """True once a graceful drain has begun (never reset)."""
+        return self._draining
+
     # -- connection handling -------------------------------------------
     async def _on_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -147,7 +176,17 @@ class DSEServer:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: an unterminated last line
+                except asyncio.LimitOverrunError as exc:
+                    await _discard_line(reader, exc.consumed)
+                    await self._send(writer, write_lock, error_response(
+                        None, "too_large",
+                        f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    ))
+                    continue
                 if not line:
                     break
                 if not line.strip():
@@ -456,15 +495,32 @@ class ServerThread:
         await self._server.wait_done()
 
     def stop(self, timeout: float = 60.0) -> None:
-        """Drain gracefully and join the loop thread."""
+        """Drain gracefully and join the loop thread.
+
+        After a ``shutdown`` op the server drains itself and its loop
+        closes, possibly before a second drain request would run, so
+        none is sent; and a sent one is awaited only while the loop
+        thread lives.  Raises :class:`TimeoutError` when the thread is
+        still alive ``timeout`` seconds after the call.
+        """
         if self._thread is None or self._loop is None:
             return
-        if self._thread.is_alive() and self._server is not None:
+        deadline = time.monotonic() + timeout
+        server = self._server
+        if (self._thread.is_alive() and server is not None
+                and not server.draining):
             future = asyncio.run_coroutine_threadsafe(
-                self._server.shutdown(), self._loop
+                server.shutdown(), self._loop
             )
-            future.result(timeout=timeout)
-        self._thread.join(timeout=timeout)
+            while not future.done() and self._thread.is_alive():
+                if time.monotonic() >= deadline:
+                    raise TimeoutError("server did not drain in time")
+                self._thread.join(0.01)
+            if future.done():
+                future.result()
+        self._thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        if self._thread.is_alive():
+            raise TimeoutError("server thread did not exit in time")
         self._thread = None
 
     def __enter__(self) -> Tuple[str, int]:

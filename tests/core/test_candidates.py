@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.arch.presets import cloud, edge
 from repro.core.candidates import (
     Incumbent,
+    family_layout,
     family_lower_bound,
     family_representative,
     feasible_row_interval,
@@ -142,6 +143,65 @@ class TestPlanStructure:
                                edge_accel)
         assert plan.bounds == (0.0,) * len(plan.families)
         assert plan.order == tuple(range(len(plan.families)))
+
+
+class TestFamilyLayout:
+    """The bound-free layout the winner memo is checked against."""
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_layout_is_the_plan_without_bounds(self, bert_512, edge_accel,
+                                               name):
+        space = SPACES[name]
+        layout = family_layout(bert_512, space)
+        plan = plan_candidates(Objective.RUNTIME, bert_512, Scope.LA,
+                               edge_accel, space)
+        assert (layout.families, layout.sizes, layout.offsets,
+                layout.total) == (plan.families, plan.sizes, plan.offsets,
+                                  plan.total)
+        given = plan_candidates(Objective.RUNTIME, bert_512, Scope.LA,
+                                edge_accel, space, layout=layout)
+        assert given == plan
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_locate_matches_enumeration(self, bert_512, edge_accel, name):
+        space = SPACES[name]
+        layout = family_layout(bert_512, space)
+        flat = list(enumerate_dataflows(bert_512, edge_accel, space))
+        for index, df in enumerate(flat):
+            fi, j = layout.locate(index)
+            members = list(expand_family(bert_512, layout.families[fi],
+                                         space))
+            assert members[j] == df
+        for bad in (-1, layout.total):
+            with pytest.raises(IndexError):
+                layout.locate(bad)
+
+    def test_memo_miss_enumerates_families_once(self, bert_512, edge_accel,
+                                                monkeypatch):
+        import repro.core.candidates as candidates
+
+        calls = []
+        original = candidates.enumerate_families
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(candidates, "enumerate_families", counting)
+        clear_evaluation_cache()
+        result = search(bert_512, edge_accel, engine=CANDIDATES,
+                        retain_points=False)
+        assert result.stats.cache_hits == 0  # a cold miss, fully planned
+        assert len(calls) == 1
+
+        # A warm-started miss locates its seed in the same layout.
+        seed = make_incumbent(result, Scope.LA, edge_accel)
+        calls.clear()
+        clear_evaluation_cache()
+        seeded = search(bert_512, edge_accel, engine=CANDIDATES,
+                        retain_points=False, warm_start=seed)
+        assert seeded.best == result.best
+        assert len(calls) == 1
 
 
 class TestLocate:

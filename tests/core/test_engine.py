@@ -11,12 +11,18 @@ guarantee.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch.presets import cloud
+from repro.arch.presets import cloud, edge
+from repro.core.cache import default_cache_dir
 from repro.core.configs import attacc
+from repro.core.dataflow import AttentionVariant, Stationarity
 from repro.core.dse import Objective, SearchSpace, enumerate_dataflows, search
 from repro.core.engine import (
     EngineOptions,
+    SearchStats,
+    _CostStore,
     accelerator_fingerprint,
     clear_evaluation_cache,
     cycles_lower_bound,
@@ -25,8 +31,9 @@ from repro.core.engine import (
     objective_lower_bound,
     set_default_engine,
 )
-from repro.core.perf import cost_scope
-from repro.models.configs import model_config
+from repro.core.perf import PerfOptions, cost_scope
+from repro.energy.tables import EnergyTable
+from repro.models.configs import model_config, model_names
 from repro.ops.attention import Scope
 
 # NAIVE is the exhaustive scalar oracle with memoization off; FAST is
@@ -300,3 +307,95 @@ class TestFingerprint:
         assert accelerator_fingerprint(resized) != accelerator_fingerprint(
             edge_accel
         )
+
+
+class TestMemoBeforePlanning:
+    """A winner-memo hit is answered before any bound is computed."""
+
+    @staticmethod
+    def _forbid_bounds(monkeypatch):
+        import repro.core.candidates as candidates
+        import repro.core.engine as engine
+
+        def boom(*args, **kwargs):
+            raise AssertionError("bound computed on a winner-memo hit")
+
+        monkeypatch.setattr(engine, "objective_lower_bound", boom)
+        monkeypatch.setattr(candidates, "family_lower_bound", boom)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_repeat_search_computes_no_bound(self, small_cfg, edge_accel,
+                                             objective, tmp_path,
+                                             monkeypatch):
+        def run():
+            return search(small_cfg, edge_accel, objective=objective,
+                          engine=FAST, retain_points=False)
+
+        with default_cache_dir(str(tmp_path)):
+            first = run()
+            self._forbid_bounds(monkeypatch)
+            from_lru = run()
+            clear_evaluation_cache()
+            from_disk = run()
+        n = first.stats.enumerated
+        for result, disk_hits in ((from_lru, 0), (from_disk, n)):
+            assert (result.best, result.points, result.objective) == (
+                first.best, (), objective)
+            assert dataclasses.replace(result.stats, wall_time_s=0.0) == (
+                SearchStats(enumerated=n, evaluated=0, pruned=0,
+                            cache_hits=n, wall_time_s=0.0,
+                            disk_hits=disk_hits))
+
+    def test_miss_still_plans(self, small_cfg, edge_accel, monkeypatch):
+        self._forbid_bounds(monkeypatch)
+        with pytest.raises(AssertionError, match="bound computed"):
+            search(small_cfg, edge_accel, objective=Objective.RUNTIME,
+                   engine=FAST, retain_points=False)
+
+
+_KEY_SPACES = (
+    SearchSpace(),
+    SearchSpace(exhaustive_staging=True,
+                stationarities=tuple(Stationarity),
+                variants=tuple(AttentionVariant)),
+    attacc().space,
+)
+
+
+class TestKeyText:
+    """The store's composed disk-key string is ``repr(key)`` exactly,
+    so entry addresses and the on-disk format do not change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(model_names()),
+        seq=st.sampled_from([256, 512, 4096]),
+        batch=st.integers(min_value=1, max_value=64),
+        preset=st.sampled_from([edge, cloud]),
+        options=st.builds(
+            PerfOptions,
+            flexible_mapping=st.booleans(),
+            l2_reserve_fraction=st.floats(min_value=0.01, max_value=0.5),
+            fused_warmup_credit=st.floats(min_value=0.0, max_value=1.0),
+            spill_extra_pass_only=st.booleans(),
+        ),
+        scope=st.sampled_from(list(Scope)),
+        space=st.sampled_from(_KEY_SPACES),
+        objective=st.sampled_from(list(Objective)),
+        energy_table=st.one_of(st.none(), st.builds(
+            EnergyTable, pj_per_mac=st.floats(min_value=0.0,
+                                              max_value=4.0))),
+        data=st.data(),
+    )
+    def test_composed_key_equals_repr(self, model, seq, batch, preset,
+                                      options, scope, space, objective,
+                                      energy_table, data):
+        cfg = model_config(model, seq=seq, batch=batch)
+        accel = preset()
+        store = _CostStore(cfg, scope, accel, options)
+        dataflow = data.draw(st.sampled_from(
+            list(enumerate_dataflows(cfg, accel, space))))
+        key = store.key(dataflow)
+        assert store.text(key) == repr(key)
+        memo = store.memo_key(objective, energy_table, space)
+        assert store.text(memo) == repr(memo)

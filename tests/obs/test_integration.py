@@ -59,6 +59,21 @@ class TestEngineInstrumentation:
         )
         assert stats_sum == snap["engine.enumerated"]["value"]
 
+    def test_plan_span_only_on_a_memo_miss(self, bert_512):
+        clear_evaluation_cache()
+        with obs.observed() as session:
+            search(bert_512, edge(), objective=Objective.RUNTIME,
+                   retain_points=False)
+            cold = list(session.collector.events)
+            search(bert_512, edge(), objective=Objective.RUNTIME,
+                   retain_points=False)
+            warm = [e["name"] for e in session.collector.events[len(cold):]]
+        (plan,) = [e for e in cold if e["name"] == "candidate-plan"]
+        assert plan["attrs"]["families"] > 0
+        assert "candidate-search" in warm
+        assert "candidate-plan" not in warm
+        assert "candidate-score" not in warm
+
     def test_exhaustive_path_emits_enumerate_span(self, bert_512):
         clear_evaluation_cache()
         with obs.observed() as session:

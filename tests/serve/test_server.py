@@ -25,6 +25,7 @@ from repro.serve import (
     wait_for_server,
 )
 from repro.serve.protocol import PROTOCOL
+from repro.serve.server import MAX_LINE_BYTES
 
 MIXED_REQUESTS = [
     {"op": "ping", "id": "q1"},
@@ -162,6 +163,27 @@ class TestErrors:
         assert response["code"] == "bad_request"
         assert response["id"] is None
 
+    def test_oversized_line_is_too_large_and_connection_survives(
+        self, server
+    ):
+        sweep = {"op": "sweep", "id": "big", "requests": [
+            {"op": "cost", "model": "bert", "seq": 512, "batch": 4,
+             "dataflow": "flat-r64"}
+        ] * (MAX_LINE_BYTES // 64)}
+        line = encode_line(sweep)
+        assert len(line) > MAX_LINE_BYTES
+        ping = encode_line({"op": "ping", "id": "after"})
+        with ServeClient(*server) as client:
+            client._sock.sendall(line + ping)
+            first, second = client._read(), client._read()
+            again = client.ping()
+        assert first["ok"] is False
+        assert first["code"] == "too_large"
+        assert first["id"] is None
+        assert second["id"] == "after" and second["ok"]
+        assert second["result"]["protocol"] == PROTOCOL
+        assert again["ok"]
+
     def test_error_responses_match_direct_bytes(self, server):
         bad = {"op": "cost", "id": "e1", "model": "bert", "scope": "zz",
                "dataflow": "base"}
@@ -208,3 +230,14 @@ class TestShutdown:
         thread.stop(timeout=30)
         with pytest.raises((ConnectionError, OSError)):
             ServeClient(host, port, timeout=2.0).connect().ping()
+
+    def test_stop_times_out_when_the_loop_never_exits(self):
+        thread = ServerThread(SchedulerConfig(window_ms=0.0))
+        thread.start()
+        # A drain that "began" but never finishes: stop() sends none of
+        # its own, so only its deadline can end the wait.
+        thread._server._draining = True
+        with pytest.raises(TimeoutError):
+            thread.stop(timeout=0.2)
+        thread._server._draining = False
+        thread.stop(timeout=30)
